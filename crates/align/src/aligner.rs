@@ -2,7 +2,7 @@
 
 use crate::index::SeedIndex;
 use bioseq::{DnaSeq, Read};
-use kmer::KmerIter;
+use kmer::CanonicalKmerIter;
 use std::collections::HashMap;
 
 /// Alignment parameters.
@@ -58,15 +58,13 @@ pub fn align_read(
     // (contig, rc, diagonal) -> seed count
     let mut groups: HashMap<(u32, bool, i64), usize> = HashMap::new();
     let rlen = read.len() as i64;
-    for (pos, km) in KmerIter::new(&read.seq, k) {
+    for (pos, canon, flipped) in CanonicalKmerIter::new(&read.seq, k) {
         if pos % params.seed_stride != 0 {
             continue;
         }
-        let canon = km.canonical();
-        let read_fwd = canon == km;
         for hit in idx.lookup(&canon) {
             // Same strand sense => read-forward alignment.
-            let rc = hit.fwd != read_fwd;
+            let rc = hit.fwd == flipped;
             let diag = if rc {
                 // In rc-read coordinates the seed starts at rlen - k - pos.
                 i64::from(hit.pos) - (rlen - k as i64 - pos as i64)

@@ -1,10 +1,11 @@
-//! Parallel canonical k-mer counting with per-side extension votes.
+//! Canonical k-mer counting with per-side extension votes, behind an exact
+//! two-pass singleton pre-filter.
 
+use crate::bloom::BloomFilter;
 use bioseq::{Base, Read};
-use kmer::{Kmer, KmerIter, Spectrum};
-use rayon::prelude::*;
+use kmer::hash::hash_kmer;
+use kmer::{CanonicalKmerIter, Kmer, KmerMap, Spectrum};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 
 /// Occurrence count and extension votes for one canonical k-mer.
 ///
@@ -33,14 +34,6 @@ impl VertexCounts {
         if let Some(b) = right {
             let i = b as usize;
             self.right[i] = self.right[i].saturating_add(1);
-        }
-    }
-
-    fn merge(&mut self, o: &VertexCounts) {
-        self.count = self.count.saturating_add(o.count);
-        for i in 0..4 {
-            self.left[i] = self.left[i].saturating_add(o.left[i]);
-            self.right[i] = self.right[i].saturating_add(o.right[i]);
         }
     }
 
@@ -90,40 +83,97 @@ pub enum Side {
 }
 
 /// Map from canonical k-mer to its counts.
-pub type KmerCountMap = HashMap<Kmer, VertexCounts>;
+pub type KmerCountMap = KmerMap<VertexCounts>;
 
-/// Count canonical k-mers (and their extension votes) across `reads`,
-/// in parallel, then drop k-mers with fewer than `min_count` occurrences.
+/// Count canonical k-mers (and their extension votes) across `reads`, then
+/// drop k-mers with fewer than `min_count` occurrences.
 ///
 /// This is the pipeline's "k-mer analysis" phase: the `min_count = 2`
 /// default implements the paper's "filtering out erroneous k-mers (those
 /// that occur only once)".
+///
+/// With `min_count >= 2` the count runs in two passes (DESIGN.md §14).
+/// Pass 1 streams every canonical k-mer through a "seen" Bloom filter and
+/// sets a k-mer already seen in a "repeat" filter. Pass 2 counts exactly,
+/// into one table, only the k-mers in "repeat". A Bloom filter has no false
+/// negatives, so every k-mer occurring twice or more is in "repeat" and is
+/// counted in full; a false positive only adds a singleton, and the final
+/// `retain` drops it with every other k-mer below `min_count`. The result
+/// equals the single exact pass followed by the same `retain`, and
+/// singletons (most distinct k-mers on noisy data) never take a table slot.
 pub fn count_kmers(reads: &[Read], k: usize, min_count: u32) -> KmerCountMap {
-    let chunk = (reads.len() / (rayon::current_num_threads() * 4)).max(256);
-    let mut merged: KmerCountMap = reads
-        .par_chunks(chunk)
-        .map(|chunk| {
-            let mut local: KmerCountMap = HashMap::new();
-            for read in chunk {
-                accumulate_read(&mut local, read, k);
+    let mut batch = Vec::new();
+    if min_count < 2 {
+        let mut map = KmerCountMap::default();
+        for read in reads {
+            hashed_kmers(read, k, &mut batch);
+            add_occurrences(&mut map, read, k, &batch);
+        }
+        return map;
+    }
+    let instances: usize = reads.iter().map(|r| (r.len() + 1).saturating_sub(k)).sum();
+    let mut seen = BloomFilter::new(instances);
+    let mut repeat = BloomFilter::new(instances / 2);
+    let mut repeats = 0usize;
+    for read in reads {
+        hashed_kmers(read, k, &mut batch);
+        for o in &batch {
+            if !seen.insert(o.hash) && repeat.insert(o.hash) {
+                repeats += 1;
             }
-            local
-        })
-        .reduce(HashMap::new, |a, b| {
-            if a.len() < b.len() {
-                return merge_into(b, a);
-            }
-            merge_into(a, b)
-        });
-    merged.retain(|_, v| v.count >= min_count);
-    merged
+        }
+    }
+    let mut map = KmerCountMap::with_capacity_and_hasher(repeats, Default::default());
+    for read in reads {
+        hashed_kmers(read, k, &mut batch);
+        batch.retain(|o| repeat.contains(o.hash));
+        add_occurrences(&mut map, read, k, &batch);
+    }
+    map.retain(|_, v| v.count >= min_count);
+    map
 }
 
-fn merge_into(mut big: KmerCountMap, small: KmerCountMap) -> KmerCountMap {
-    for (k, v) in small {
-        big.entry(k).or_default().merge(&v);
+/// One canonical k-mer occurrence in a read, with its murmur hash.
+struct Occurrence {
+    pos: usize,
+    canon: Kmer,
+    flipped: bool,
+    hash: u64,
+}
+
+/// Fill `batch` with the canonical k-mers of `read` and their hashes.
+///
+/// Counting works a read at a time: first this rolls and hashes the whole
+/// read, then the filter probes and table updates run over the batch. Kept
+/// apart, the probes of successive k-mers are independent loads whose
+/// cache misses the CPU overlaps; interleaved with the rolling and hashing
+/// they were not, and counting took about twice as long (2-vCPU x86-64 VM).
+fn hashed_kmers(read: &Read, k: usize, batch: &mut Vec<Occurrence>) {
+    batch.clear();
+    batch.extend(CanonicalKmerIter::new(&read.seq, k).map(|(pos, canon, flipped)| Occurrence {
+        pos,
+        canon,
+        flipped,
+        hash: hash_kmer(&canon),
+    }));
+}
+
+/// Count the `occurrences` (k-mers of `read`) in `map`, with their
+/// extension votes.
+fn add_occurrences(map: &mut KmerCountMap, read: &Read, k: usize, occurrences: &[Occurrence]) {
+    let codes = read.seq.codes();
+    for o in occurrences {
+        let left = (o.pos > 0).then(|| Base::from_code(codes[o.pos - 1]));
+        let right = codes.get(o.pos + k).map(|&c| Base::from_code(c));
+        let (l, r) = if o.flipped {
+            // Reverse-complemented occurrence: neighbours swap sides and
+            // complement.
+            (right.map(Base::complement), left.map(Base::complement))
+        } else {
+            (left, right)
+        };
+        map.entry(o.canon).or_default().add(l, r);
     }
-    big
 }
 
 /// Count k-mers and also return the multiplicity spectrum (computed before
@@ -136,6 +186,7 @@ pub fn count_kmers_with_spectrum(
     min_count: u32,
     max_multiplicity: usize,
 ) -> (KmerCountMap, Spectrum) {
+    // The spectrum needs the singletons: one exact pass.
     let mut map = count_kmers(reads, k, 1);
     let mut spectrum = Spectrum::new(max_multiplicity);
     for v in map.values() {
@@ -143,27 +194,6 @@ pub fn count_kmers_with_spectrum(
     }
     map.retain(|_, v| v.count >= min_count);
     (map, spectrum)
-}
-
-/// Add one read's k-mers to `map`.
-pub fn accumulate_read(map: &mut KmerCountMap, read: &Read, k: usize) {
-    let seq = &read.seq;
-    if seq.len() < k {
-        return;
-    }
-    for (pos, km) in KmerIter::new(seq, k) {
-        let left = if pos > 0 { Some(seq.base(pos - 1)) } else { None };
-        let right = if pos + k < seq.len() { Some(seq.base(pos + k)) } else { None };
-        let canon = km.canonical();
-        let (l, r) = if canon == km {
-            (left, right)
-        } else {
-            // Reverse-complemented occurrence: neighbours swap sides and
-            // complement.
-            (right.map(Base::complement), left.map(Base::complement))
-        };
-        map.entry(canon).or_default().add(l, r);
-    }
 }
 
 #[cfg(test)]
@@ -255,24 +285,74 @@ mod tests {
         assert_eq!(spectrum.distinct() as usize, map.len() + spectrum.at(1) as usize);
     }
 
-    #[test]
-    fn parallel_matches_serial() {
-        // Build a read set big enough to split across chunks.
+    fn exact_then_retain(reads: &[Read], k: usize, min_count: u32) -> KmerCountMap {
+        let mut map = count_kmers(reads, k, 1);
+        map.retain(|_, v| v.count >= min_count);
+        map
+    }
+
+    /// Reads sampled from a random genome with ~1% substitutions, every
+    /// fifth one duplicated, plus reads shorter than the largest k.
+    fn noisy_reads(seed: u64) -> Vec<Read> {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(seed);
+        let genome: Vec<u8> = (0..3_000).map(|_| rng.gen_range(0..4u8)).collect();
         let mut reads = Vec::new();
-        let base = "ACGTTGCAAGCTTGGCATTGCAACGGTTACGATCGATCGGATCCAATTGG";
-        for i in 0..2000 {
-            let rot = i % 20;
-            let s: String = base.chars().cycle().skip(rot).take(30).collect();
-            reads.push(read(&s));
+        for i in 0..400 {
+            let len = if i % 7 == 0 { rng.gen_range(10..99) } else { 150 };
+            let start = rng.gen_range(0..genome.len() - len);
+            let mut codes = genome[start..start + len].to_vec();
+            for c in codes.iter_mut() {
+                if rng.gen_range(0..100) == 0 {
+                    *c = (*c + rng.gen_range(1..4u8)) % 4;
+                }
+            }
+            let r = Read::with_uniform_qual(format!("r{i}"), DnaSeq::from_codes(codes), 30);
+            let r = if i % 2 == 0 { r.revcomp() } else { r };
+            if i % 5 == 0 {
+                reads.push(r.clone());
+            }
+            reads.push(r);
         }
-        let par = count_kmers(&reads, 11, 1);
-        let mut ser: KmerCountMap = HashMap::new();
-        for r in &reads {
-            accumulate_read(&mut ser, r, 11);
+        reads
+    }
+
+    #[test]
+    fn prefiltered_count_equals_exact_then_retain() {
+        let reads = noisy_reads(5);
+        for k in [21, 31, 55, 99] {
+            let exact = count_kmers(&reads, k, 1);
+            assert!(exact.values().any(|v| v.count == 1), "k={k}: input must have singletons");
+            for m in [2, 3] {
+                let filtered = count_kmers(&reads, k, m);
+                assert!(!filtered.is_empty(), "k={k} m={m}");
+                assert_eq!(filtered, exact_then_retain(&reads, k, m), "k={k} m={m}");
+            }
         }
-        assert_eq!(par.len(), ser.len());
-        for (k, v) in &ser {
-            assert_eq!(par.get(k), Some(v));
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn prefiltered_count_equals_exact_then_retain_on_random_reads(
+            seqs in proptest::collection::vec(proptest::collection::vec(0u8..4, 0..130), 0..40),
+            k in 15usize..=99,
+            m in 2u32..=3,
+        ) {
+            // Each read twice, and every third read a third time, so some
+            // k-mers reach every cutoff.
+            let mut reads = Vec::new();
+            for (i, codes) in seqs.into_iter().enumerate() {
+                let r = Read::with_uniform_qual("r", DnaSeq::from_codes(codes), 30);
+                reads.push(r.clone());
+                if i % 3 == 0 {
+                    reads.push(r.revcomp());
+                }
+                if i % 2 == 0 {
+                    reads.push(r);
+                }
+            }
+            proptest::prop_assert_eq!(count_kmers(&reads, k, m), exact_then_retain(&reads, k, m));
         }
     }
 }

@@ -10,6 +10,7 @@
 //! `min_count`, default 2 — "those that occur only once") are dropped before
 //! traversal.
 
+mod bloom;
 pub mod counts;
 pub mod graph;
 pub mod stats;

@@ -2,9 +2,8 @@
 
 use crate::graph::{DbgGraph, Oriented};
 use bioseq::DnaSeq;
-use kmer::Kmer;
+use kmer::KmerSet;
 use serde::{Deserialize, Serialize};
-use std::collections::HashSet;
 
 /// A contiguous assembled sequence with its mean k-mer depth.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -37,7 +36,7 @@ impl Contig {
 /// from either side. Each canonical k-mer joins at most one contig; seeds
 /// are visited in sorted order so output is deterministic.
 pub fn generate_contigs(graph: &DbgGraph, min_votes: u16) -> Vec<Contig> {
-    let mut visited: HashSet<Kmer> = HashSet::with_capacity(graph.len());
+    let mut visited = KmerSet::with_capacity_and_hasher(graph.len(), Default::default());
     let mut contigs = Vec::new();
     let mut next_id = 0u64;
 
@@ -81,7 +80,7 @@ fn walk(
     graph: &DbgGraph,
     start: Oriented,
     min_votes: u16,
-    visited: &mut HashSet<Kmer>,
+    visited: &mut KmerSet,
 ) -> (Vec<bioseq::Base>, Vec<u32>) {
     let mut bases = Vec::new();
     let mut counts = Vec::new();

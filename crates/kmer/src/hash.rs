@@ -5,8 +5,17 @@
 //! feeding its packed words (see [`crate::Kmer::words`]) through
 //! [`murmur64a_words`], so CPU and simulated-GPU tables place keys
 //! identically — a property the integration tests rely on.
+//!
+//! The same hash keys every host-side `Kmer` table: `Hash for Kmer` writes
+//! [`hash_kmer`] as one `u64`, and [`KmerBuildHasher`] passes it through
+//! unchanged ([`KmerMap`], [`KmerSet`]). Murmur with a fixed seed gives up
+//! the default hasher's defence against keys crafted to collide; k-mers
+//! come from sequencing reads, not from an adversary, and the table is
+//! the assembler's hottest structure.
 
 use crate::kmer::Kmer;
+use std::collections::{HashMap, HashSet};
+use std::hash::{BuildHasher, Hasher};
 
 const M: u64 = 0xc6a4_a793_5bd1_e995;
 const R: u32 = 47;
@@ -63,6 +72,47 @@ pub fn hash_kmer(km: &Kmer) -> u64 {
     murmur64a_words(&km.words()[..nwords], km.k() as u64)
 }
 
+/// A `Kmer`-keyed map hashed with [`hash_kmer`].
+pub type KmerMap<V> = HashMap<Kmer, V, KmerBuildHasher>;
+
+/// A `Kmer` set hashed with [`hash_kmer`].
+pub type KmerSet = HashSet<Kmer, KmerBuildHasher>;
+
+/// Builds [`KmerHasher`]s for [`KmerMap`] and [`KmerSet`].
+#[derive(Debug, Clone, Copy, Default)]
+pub struct KmerBuildHasher;
+
+impl BuildHasher for KmerBuildHasher {
+    type Hasher = KmerHasher;
+
+    #[inline]
+    fn build_hasher(&self) -> KmerHasher {
+        KmerHasher(0)
+    }
+}
+
+/// Pass-through hasher: a `Kmer` key's single `write_u64` of its murmur
+/// hash is the table hash as is. Any other write is folded in with murmur,
+/// so the hasher stays correct for keys that write more than one value.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct KmerHasher(u64);
+
+impl Hasher for KmerHasher {
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    #[inline]
+    fn write_u64(&mut self, h: u64) {
+        self.0 = self.0.wrapping_mul(M) ^ h;
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        self.0 = murmur64a(bytes, self.0);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -116,6 +166,13 @@ mod tests {
         let k21 = crate::Kmer::from_seq(&s, 0, 21);
         let k23 = crate::Kmer::from_seq(&s, 0, 23);
         assert_ne!(hash_kmer(&k21), hash_kmer(&k23));
+    }
+
+    #[test]
+    fn table_hash_is_hash_kmer() {
+        let s = DnaSeq::from_str_strict("ACGTTGCAAGCTTGGCATTGCAACGGTTACGATCGAT").unwrap();
+        let km = crate::Kmer::from_seq(&s, 3, 33);
+        assert_eq!(KmerBuildHasher.hash_one(km), hash_kmer(&km));
     }
 
     #[test]

@@ -1,7 +1,9 @@
 //! Fixed-width packed k-mer type.
 
+use crate::hash::hash_kmer;
 use bioseq::{Base, DnaSeq};
 use serde::{Deserialize, Serialize};
+use std::hash::{Hash, Hasher};
 
 /// Maximum supported k. MetaHipMer's iterative assembly uses k up to 99;
 /// four 64-bit words give us headroom to 128.
@@ -16,7 +18,11 @@ pub const KMER_WORDS: usize = MAX_K / 32;
 ///
 /// Invariant: bits above position `2k` are zero (needed for `Eq`/`Ord`/hash
 /// to be well-defined).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+///
+/// `Hash` writes [`hash_kmer`] — MurmurHash2 over the live words — as one
+/// `u64`, so a table built with [`crate::KmerBuildHasher`] hashes each key
+/// exactly once, with the paper's hash.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
 pub struct Kmer {
     words: [u64; KMER_WORDS],
     k: u16,
@@ -90,54 +96,60 @@ impl Kmer {
     }
 
     /// The k-mer obtained by dropping the first base and appending `b` —
-    /// one step of a rightward mer-walk.
+    /// one step of a rightward mer-walk. O(words): the packed value shifts
+    /// right by one base across the `ceil(k/32)` live words; the vacated
+    /// top base is already zero by the high-bits invariant.
+    #[inline]
     pub fn shift_right(&self, b: Base) -> Kmer {
         let k = self.k();
-        let mut words = [0u64; KMER_WORDS];
-        // Shift the whole packed value right by one base (2 bits),
-        // propagating across word boundaries.
-        for (w, word) in words.iter_mut().enumerate() {
-            let mut v = self.words[w] >> 2;
-            if w + 1 < KMER_WORDS {
-                v |= (self.words[w + 1] & 3) << 62;
-            }
-            *word = v;
+        let nw = words_for(k);
+        let mut words = self.words;
+        for w in 0..nw {
+            let carry = if w + 1 < nw { words[w + 1] << 62 } else { 0 };
+            words[w] = (words[w] >> 2) | carry;
         }
-        // Insert the new base at position k-1.
         let j = k - 1;
         words[j / 32] |= u64::from(b.code()) << ((j % 32) * 2);
-        let mut out = Kmer { words, k: self.k };
-        mask_high(&mut out.words, k);
-        out
+        Kmer { words, k: self.k }
     }
 
     /// The k-mer obtained by dropping the last base and prepending `b` —
-    /// one step of a leftward mer-walk.
+    /// one step of a leftward mer-walk. O(words); the base pushed past
+    /// position `k - 1` is masked off.
+    #[inline]
     pub fn shift_left(&self, b: Base) -> Kmer {
         let k = self.k();
-        let mut words = [0u64; KMER_WORDS];
-        // Shift left by one base.
-        for w in (0..KMER_WORDS).rev() {
-            let mut v = self.words[w] << 2;
-            if w > 0 {
-                v |= self.words[w - 1] >> 62;
-            }
-            words[w] = v;
+        let nw = words_for(k);
+        let mut words = self.words;
+        for w in (0..nw).rev() {
+            let carry = if w > 0 { words[w - 1] >> 62 } else { 0 };
+            words[w] = (words[w] << 2) | carry;
         }
         words[0] |= u64::from(b.code());
-        let mut out = Kmer { words, k: self.k };
-        mask_high(&mut out.words, k);
-        out
+        let top_bits = 2 * k - 64 * (nw - 1);
+        if top_bits < 64 {
+            words[nw - 1] &= (1u64 << top_bits) - 1;
+        }
+        Kmer { words, k: self.k }
     }
 
-    /// Reverse complement.
+    /// Reverse complement. O(words): each live word has its 32 base codes
+    /// reversed and complemented, the words are taken in reverse order, and
+    /// the result shifts down by the `32·ceil(k/32) − k` padding bases that
+    /// the reversal moved to the bottom.
     pub fn revcomp(&self) -> Kmer {
         let k = self.k();
+        let nw = words_for(k);
         let mut words = [0u64; KMER_WORDS];
-        for i in 0..k {
-            let c = self.code(i) ^ 3;
-            let j = k - 1 - i;
-            words[j / 32] |= u64::from(c) << ((j % 32) * 2);
+        for (out, &word) in words.iter_mut().zip(self.words[..nw].iter().rev()) {
+            *out = !reverse_codes(word);
+        }
+        let pad = 2 * (32 * nw - k);
+        if pad > 0 {
+            for w in 0..nw {
+                let carry = if w + 1 < nw { words[w + 1] << (64 - pad) } else { 0 };
+                words[w] = (words[w] >> pad) | carry;
+            }
         }
         Kmer { words, k: self.k }
     }
@@ -159,13 +171,17 @@ impl Kmer {
     }
 
     /// Lexicographic comparison by base sequence (not by packed words:
-    /// LSB-first packing does not preserve lexicographic order).
+    /// LSB-first packing does not preserve lexicographic order). O(words):
+    /// the first differing base is the lowest set bit of the first non-zero
+    /// word XOR.
     pub fn cmp_bases(&self, other: &Kmer) -> std::cmp::Ordering {
         debug_assert_eq!(self.k, other.k);
-        for i in 0..self.k() {
-            match self.code(i).cmp(&other.code(i)) {
-                std::cmp::Ordering::Equal => continue,
-                ord => return ord,
+        let nw = words_for(self.k());
+        for (a, b) in self.words[..nw].iter().zip(&other.words[..nw]) {
+            let diff = a ^ b;
+            if diff != 0 {
+                let at = diff.trailing_zeros() & !1;
+                return ((a >> at) & 3).cmp(&((b >> at) & 3));
             }
         }
         std::cmp::Ordering::Equal
@@ -177,6 +193,12 @@ impl Kmer {
     }
 }
 
+impl Hash for Kmer {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64(hash_kmer(self));
+    }
+}
+
 impl std::fmt::Display for Kmer {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         for i in 0..self.k() {
@@ -184,6 +206,21 @@ impl std::fmt::Display for Kmer {
         }
         Ok(())
     }
+}
+
+/// Words that carry the bases of a k-mer.
+#[inline]
+fn words_for(k: usize) -> usize {
+    k.div_ceil(32)
+}
+
+/// Reverse the order of the 32 two-bit base codes packed in `x`.
+#[inline]
+fn reverse_codes(x: u64) -> u64 {
+    const LOW_BITS: u64 = 0x5555_5555_5555_5555;
+    // `reverse_bits` also swaps the two bits inside each code; swap back.
+    let x = x.reverse_bits();
+    ((x >> 1) & LOW_BITS) | ((x & LOW_BITS) << 1)
 }
 
 fn mask_high(words: &mut [u64; KMER_WORDS], k: usize) {
@@ -235,6 +272,61 @@ impl Iterator for KmerIter<'_> {
 
     fn size_hint(&self) -> (usize, Option<usize>) {
         let n = (self.seq.len() + 1).saturating_sub(self.pos + self.k);
+        (n, Some(n))
+    }
+}
+
+/// The canonical k-mers of a sequence, left to right — the one k-mer stream
+/// every consumer (counting, seed indexing, alignment, evaluation) reads.
+///
+/// The forward k-mer rolls right and its reverse complement rolls left in
+/// step, so each position costs two O(words) shifts and one word-wise
+/// comparison instead of an O(k) reverse complement.
+pub struct CanonicalKmerIter<'a> {
+    codes: &'a [u8],
+    k: usize,
+    pos: usize,
+    fwd: Kmer,
+    rc: Kmer,
+}
+
+impl<'a> CanonicalKmerIter<'a> {
+    /// Canonical k-mers of `seq`; yields nothing if `seq.len() < k`.
+    pub fn new(seq: &'a DnaSeq, k: usize) -> CanonicalKmerIter<'a> {
+        assert!((1..=MAX_K).contains(&k), "k={k} out of range");
+        let fwd = if seq.len() >= k {
+            Kmer::from_seq(seq, 0, k)
+        } else {
+            Kmer { words: [0; KMER_WORDS], k: k as u16 }
+        };
+        CanonicalKmerIter { codes: seq.codes(), k, pos: 0, fwd, rc: fwd.revcomp() }
+    }
+}
+
+impl Iterator for CanonicalKmerIter<'_> {
+    /// `(start_position, canonical_kmer, flipped)`, where `flipped` means
+    /// the canonical form is the reverse complement of the k-mer as it
+    /// reads in the sequence (never set for a palindrome).
+    type Item = (usize, Kmer, bool);
+
+    #[inline]
+    fn next(&mut self) -> Option<Self::Item> {
+        if self.pos + self.k > self.codes.len() {
+            return None;
+        }
+        if self.pos > 0 {
+            let b = Base::from_code(self.codes[self.pos + self.k - 1]);
+            self.fwd = self.fwd.shift_right(b);
+            self.rc = self.rc.shift_left(b.complement());
+        }
+        let at = self.pos;
+        self.pos += 1;
+        let flipped = self.fwd.cmp_bases(&self.rc) == std::cmp::Ordering::Greater;
+        Some((at, if flipped { self.rc } else { self.fwd }, flipped))
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let n = (self.codes.len() + 1).saturating_sub(self.pos + self.k);
         (n, Some(n))
     }
 }
@@ -317,6 +409,74 @@ mod tests {
         }
     }
 
+    /// Base-by-base reverse complement, the reference the word-wise one
+    /// must match.
+    fn naive_revcomp(km: &Kmer) -> Kmer {
+        let s: DnaSeq = (0..km.k()).rev().map(|i| km.base(i).complement()).collect();
+        Kmer::from_seq(&s, 0, km.k())
+    }
+
+    fn naive_cmp(a: &Kmer, b: &Kmer) -> std::cmp::Ordering {
+        (0..a.k()).map(|i| a.code(i)).cmp((0..b.k()).map(|i| b.code(i)))
+    }
+
+    fn naive_canonical(km: &Kmer) -> Kmer {
+        let rc = naive_revcomp(km);
+        if naive_cmp(km, &rc).is_le() {
+            *km
+        } else {
+            rc
+        }
+    }
+
+    /// The key's hash under SipHash and under the table hasher.
+    fn hash_of(km: &Kmer) -> (u64, u64) {
+        use std::hash::{BuildHasher, BuildHasherDefault};
+        let sip = BuildHasherDefault::<std::collections::hash_map::DefaultHasher>::default();
+        (sip.hash_one(km), crate::KmerBuildHasher.hash_one(km))
+    }
+
+    #[test]
+    fn word_ops_match_naive_for_every_k() {
+        // Every k in 1..=MAX_K crosses the word boundaries at 32, 64, 96;
+        // pairs that share a prefix of every length exercise the first
+        // differing base landing in each word.
+        let s: DnaSeq =
+            (0..MAX_K + 40).map(|i| Base::from_code(((i * 7 + i / 5) % 4) as u8)).collect();
+        for k in 1..=MAX_K {
+            for start in [0, 1, 13, 40] {
+                let km = Kmer::from_seq(&s, start, k);
+                assert_eq!(km.revcomp(), naive_revcomp(&km), "revcomp k={k} start={start}");
+                assert_eq!(km.canonical(), naive_canonical(&km), "canonical k={k}");
+                let rc = km.revcomp();
+                assert_eq!(km.cmp_bases(&rc), naive_cmp(&km, &rc), "cmp k={k}");
+                for at in [0, k / 2, k - 1] {
+                    let mut codes: Vec<u8> = (0..k).map(|i| km.code(i)).collect();
+                    codes[at] ^= 1 + (at % 3) as u8;
+                    let other = Kmer::from_seq(&DnaSeq::from_codes(codes), 0, k);
+                    assert_eq!(km.cmp_bases(&other), naive_cmp(&km, &other), "k={k} at={at}");
+                    assert_eq!(other.cmp_bases(&km), naive_cmp(&other, &km), "k={k} at={at}");
+                }
+                assert!(km.cmp_bases(&km).is_eq());
+            }
+        }
+    }
+
+    #[test]
+    fn palindrome_is_not_flipped() {
+        let s = seq("ACGT");
+        let items: Vec<_> = CanonicalKmerIter::new(&s, 4).collect();
+        assert_eq!(items.len(), 1);
+        assert_eq!(items[0].1.to_string(), "ACGT");
+        assert!(!items[0].2);
+    }
+
+    #[test]
+    fn canonical_iter_short_seq_empty() {
+        assert_eq!(CanonicalKmerIter::new(&seq("ACG"), 4).count(), 0);
+        assert_eq!(CanonicalKmerIter::new(&seq("ACGT"), 4).size_hint(), (1, Some(1)));
+    }
+
     fn arb_kseq(k: usize, extra: usize) -> impl Strategy<Value = DnaSeq> {
         proptest::collection::vec(0u8..4, k + extra..k + extra + 1).prop_map(DnaSeq::from_codes)
     }
@@ -328,6 +488,49 @@ mod tests {
             let k = 21;
             for (pos, km) in KmerIter::new(&s, k) {
                 prop_assert_eq!(km, Kmer::from_seq(&s, pos, k));
+            }
+        }
+
+        #[test]
+        fn word_ops_match_naive(k in 1usize..=MAX_K, codes in proptest::collection::vec(0u8..4, MAX_K..MAX_K + 1)) {
+            let km = Kmer::from_seq(&DnaSeq::from_codes(codes), 0, k);
+            let rc = km.revcomp();
+            prop_assert_eq!(rc, naive_revcomp(&km));
+            prop_assert_eq!(km.cmp_bases(&rc), naive_cmp(&km, &rc));
+            prop_assert_eq!(km.canonical(), naive_canonical(&km));
+            prop_assert_eq!(km.is_canonical(), naive_canonical(&km) == km);
+        }
+
+        #[test]
+        fn canonical_iter_matches_kmer_iter(
+            k in 1usize..=MAX_K,
+            codes in proptest::collection::vec(0u8..4, 0..200),
+        ) {
+            let s = DnaSeq::from_codes(codes);
+            let rolled: Vec<_> = CanonicalKmerIter::new(&s, k).collect();
+            let direct: Vec<_> = KmerIter::new(&s, k)
+                .map(|(pos, km)| {
+                    let canon = km.canonical();
+                    (pos, canon, canon != km)
+                })
+                .collect();
+            prop_assert_eq!(rolled, direct);
+        }
+
+        #[test]
+        fn hash_agrees_with_eq(k in 1usize..=MAX_K, codes in proptest::collection::vec(0u8..4, MAX_K + 1..MAX_K + 2)) {
+            let s = DnaSeq::from_codes(codes);
+            let km = Kmer::from_seq(&s, 0, k);
+            // Equal k-mers reached by different routes hash equally ...
+            let rolled = Kmer::from_seq(&s, 1, k).shift_left(s.base(0));
+            prop_assert_eq!(rolled, km);
+            prop_assert_eq!(hash_of(&rolled), hash_of(&km));
+            prop_assert_eq!(hash_of(&km.revcomp().revcomp()), hash_of(&km));
+            // ... and the same bases at a different k are a different key.
+            if k < MAX_K {
+                let longer = Kmer::from_seq(&s, 0, k + 1);
+                prop_assert_ne!(longer, km);
+                prop_assert_ne!(hash_of(&longer).1, hash_of(&km).1);
             }
         }
 

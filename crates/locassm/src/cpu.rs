@@ -5,17 +5,16 @@
 use crate::params::{KShift, LocalAssemblyParams, WalkState};
 use crate::task::{ExtResult, ExtTask, TaskOutcome};
 use bioseq::{DnaSeq, Read};
-use kmer::{ExtCounts, ExtVerdict, Kmer, KmerIter};
+use kmer::{ExtCounts, ExtVerdict, Kmer, KmerIter, KmerMap, KmerSet};
 use rayon::prelude::*;
-use std::collections::{HashMap, HashSet};
 
 /// Algorithm 1: build the k-mer → extension table from candidate reads.
 ///
 /// Keys are read k-mers *as oriented* (no canonicalization — candidate reads
 /// are already oriented to the contig); the vote is the base following the
 /// k-mer, at that base's quality.
-pub fn build_ext_table(reads: &[Read], k: usize) -> HashMap<Kmer, ExtCounts> {
-    let mut table: HashMap<Kmer, ExtCounts> = HashMap::new();
+pub fn build_ext_table(reads: &[Read], k: usize) -> KmerMap<ExtCounts> {
+    let mut table = KmerMap::<ExtCounts>::default();
     for read in reads {
         if read.len() < k + 1 {
             continue;
@@ -43,7 +42,7 @@ pub struct WalkResult {
 /// extensions until dead end / fork / loop / step cap.
 pub fn mer_walk(
     seq: &DnaSeq,
-    table: &HashMap<Kmer, ExtCounts>,
+    table: &KmerMap<ExtCounts>,
     k: usize,
     max_steps: usize,
     min_viable: u16,
@@ -52,7 +51,7 @@ pub fn mer_walk(
         return WalkResult { appended: DnaSeq::new(), state: WalkState::DeadEnd };
     }
     let mut cur = Kmer::from_seq(seq, seq.len() - k, k);
-    let mut visited: HashSet<Kmer> = HashSet::new();
+    let mut visited = KmerSet::default();
     let mut appended = DnaSeq::new();
     for _ in 0..max_steps {
         if !visited.insert(cur) {
@@ -244,7 +243,7 @@ mod tests {
 
     #[test]
     fn walk_short_contig_dead_end() {
-        let table = HashMap::new();
+        let table = KmerMap::default();
         let walk = mer_walk(&seq("ACG"), &table, 15, 10, 2);
         assert_eq!(walk.state, WalkState::DeadEnd);
         assert!(walk.appended.is_empty());

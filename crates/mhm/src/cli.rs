@@ -94,6 +94,7 @@ USAGE:
       [--overlap] [--cpu-bin2-fraction F] [--calibrate] [--cpu-words-per-s R]
       [--per-bin-rates] [--adaptive-batch]
       Assemble paired FASTQ into contigs.fasta + scaffolds.fasta.
+      --k N is the contig-generation k (default 31): odd, 15..=127.
       --sanitize runs the GPU engine under gpucheck (memcheck + racecheck +
       synccheck) and appends its findings to the report; implies --gpu.
       --overlap runs local assembly on the CPU/GPU overlap driver with the
@@ -156,6 +157,10 @@ pub fn run_assemble(cli: &CliArgs) -> Result<String, String> {
     let r1_path = cli.require("r1")?;
     let r2_path = cli.require("r2")?;
     let out = PathBuf::from(cli.require("out")?);
+    let mut cfg = PipelineConfig { k: cli.get_num("k", 31)?, ..Default::default() };
+    // Before any input is read, so a bad --k fails fast even under
+    // --iterative (whose schedule falls back to it).
+    cfg.validate().map_err(|e| e.to_string())?;
     std::fs::create_dir_all(&out).map_err(|e| e.to_string())?;
 
     let (r1, r1_stats) = read_fastq_file(Path::new(r1_path))?;
@@ -164,7 +169,6 @@ pub fn run_assemble(cli: &CliArgs) -> Result<String, String> {
     let ingest_ambiguous = r1_stats.dropped_ambiguous + r2_stats.dropped_ambiguous;
     let pairs = fastq::pair_up(r1, r2).map_err(|e| e.to_string())?;
 
-    let mut cfg = PipelineConfig { k: cli.get_num("k", 31)?, ..Default::default() };
     let sanitize = cli.has("sanitize");
     let calibrate = cli.has("calibrate");
     let rate_override = match cli.get("cpu-words-per-s") {
@@ -248,7 +252,7 @@ pub fn run_assemble(cli: &CliArgs) -> Result<String, String> {
         if schedule.is_empty() {
             schedule = vec![cfg.k];
         }
-        let result = run_iterative(&pairs, &cfg, &schedule);
+        let result = run_iterative(&pairs, &cfg, &schedule).map_err(|e| e.to_string())?;
         for r in &result.rounds {
             report.push_str(&format!("round k={}: {}\n", r.k, r.stats.render()));
         }

@@ -33,6 +33,38 @@ pub enum ErrorKind {
     Engine(locassm::DriverError),
     /// Structurally invalid input.
     InvalidInput(String),
+    /// A configuration the pipeline cannot run (see
+    /// [`PipelineConfig::validate`](crate::pipeline::PipelineConfig::validate)).
+    InvalidConfig(ConfigError),
+}
+
+/// Why a [`PipelineConfig`](crate::pipeline::PipelineConfig) was rejected.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum ConfigError {
+    /// k below [`MIN_K`](crate::pipeline::MIN_K): too short for its
+    /// k-mers to be unique in a genome, so the graph has no unitigs.
+    KTooSmall(usize),
+    /// k above the widest k-mer the substrate packs ([`kmer::MAX_K`]).
+    KTooLarge(usize),
+    /// Even k: a k-mer can equal its own reverse complement, so its two
+    /// strands collapse into one vertex whose sides cannot be told apart.
+    KEven(usize),
+    /// An iterative run was given no k at all.
+    EmptySchedule,
+}
+
+impl fmt::Display for ConfigError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        use crate::pipeline::MIN_K;
+        match self {
+            ConfigError::KTooSmall(k) => write!(f, "k={k} is below the minimum k={MIN_K}"),
+            ConfigError::KTooLarge(k) => {
+                write!(f, "k={k} is above the maximum k={}", kmer::MAX_K - 1)
+            }
+            ConfigError::KEven(k) => write!(f, "k={k} is even; k must be odd"),
+            ConfigError::EmptySchedule => write!(f, "the k schedule is empty"),
+        }
+    }
 }
 
 impl PipelineError {
@@ -50,6 +82,12 @@ impl PipelineError {
     pub fn invalid_input(phase: Phase, detail: impl Into<String>) -> PipelineError {
         PipelineError { phase, kind: ErrorKind::InvalidInput(detail.into()) }
     }
+
+    /// A rejected configuration; k governs k-mer analysis, the first phase
+    /// that would fail.
+    pub fn invalid_config(reason: ConfigError) -> PipelineError {
+        PipelineError { phase: Phase::KmerAnalysis, kind: ErrorKind::InvalidConfig(reason) }
+    }
 }
 
 impl fmt::Display for PipelineError {
@@ -59,6 +97,7 @@ impl fmt::Display for PipelineError {
             ErrorKind::Io(e) => write!(f, "I/O error: {e}"),
             ErrorKind::Engine(e) => write!(f, "engine error: {e}"),
             ErrorKind::InvalidInput(d) => write!(f, "invalid input: {d}"),
+            ErrorKind::InvalidConfig(e) => write!(f, "invalid configuration: {e}"),
         }
     }
 }
@@ -68,7 +107,7 @@ impl std::error::Error for PipelineError {
         match &self.kind {
             ErrorKind::Io(e) => Some(e),
             ErrorKind::Engine(e) => Some(e),
-            ErrorKind::InvalidInput(_) => None,
+            ErrorKind::InvalidInput(_) | ErrorKind::InvalidConfig(_) => None,
         }
     }
 }

@@ -9,8 +9,9 @@
 //! assembly run inside every round, exactly as in the paper's pipeline
 //! diagram; scaffolding runs once at the end.
 
+use crate::errors::{ConfigError, PipelineError};
 use crate::merge::merge_reads;
-use crate::pipeline::{EngineChoice, Phase, PhaseTimings, PipelineConfig};
+use crate::pipeline::{validate_k, EngineChoice, Phase, PhaseTimings, PipelineConfig};
 use crate::scaffold::{scaffold_contigs, Scaffold};
 use crate::stats::AssemblyStats;
 use align::{collect_candidates, SeedIndex};
@@ -44,12 +45,20 @@ pub struct IterativeResult {
 const CONTIG_PSEUDO_WEIGHT: usize = 2;
 
 /// Run the iterative pipeline over `k_schedule` (ascending).
+///
+/// Every k in the schedule must pass the same check as
+/// [`PipelineConfig::validate`]; `cfg.k` itself is not used.
 pub fn run_iterative(
     pairs: &[PairedRead],
     cfg: &PipelineConfig,
     k_schedule: &[usize],
-) -> IterativeResult {
-    assert!(!k_schedule.is_empty(), "empty k schedule");
+) -> Result<IterativeResult, PipelineError> {
+    if k_schedule.is_empty() {
+        return Err(PipelineError::invalid_config(ConfigError::EmptySchedule));
+    }
+    for &k in k_schedule {
+        validate_k(k)?;
+    }
     let mut timings = PhaseTimings::new();
 
     let t = Instant::now();
@@ -148,7 +157,7 @@ pub fn run_iterative(
     let scaffolds = scaffold_contigs(&contigs, pairs, &cfg.scaffold);
     timings.add(Phase::Scaffolding, t.elapsed().as_secs_f64());
 
-    IterativeResult { contigs, scaffolds, rounds, timings }
+    Ok(IterativeResult { contigs, scaffolds, rounds, timings })
 }
 
 /// Default MetaHipMer-style schedule clipped to the observed read length.
@@ -207,10 +216,23 @@ mod tests {
     }
 
     #[test]
+    fn every_scheduled_k_is_validated() {
+        let cfg = PipelineConfig::default();
+        let reason = |schedule: &[usize]| match run_iterative(&[], &cfg, schedule) {
+            Err(PipelineError { kind: crate::ErrorKind::InvalidConfig(e), .. }) => e,
+            other => panic!("schedule {schedule:?} accepted: {:?}", other.map(|r| r.rounds.len())),
+        };
+        assert_eq!(reason(&[]), ConfigError::EmptySchedule);
+        assert_eq!(reason(&[21, 32, 55]), ConfigError::KEven(32));
+        assert_eq!(reason(&[21, 33, 201]), ConfigError::KTooLarge(201));
+        assert_eq!(reason(&[3, 21]), ConfigError::KTooSmall(3));
+    }
+
+    #[test]
     fn iterative_runs_all_rounds() {
         let (_, pairs) = dataset(42, 0.0);
         let cfg = PipelineConfig::default();
-        let result = run_iterative(&pairs, &cfg, &[21, 31, 41]);
+        let result = run_iterative(&pairs, &cfg, &[21, 31, 41]).expect("valid schedule");
         assert_eq!(result.rounds.len(), 3);
         assert!(result.rounds.iter().all(|r| r.contigs > 0));
         // Each contig appears in exactly one scaffold.
@@ -224,7 +246,7 @@ mod tests {
         // least as contiguous as the first (small-k) round.
         let (_, pairs) = dataset(7, 0.25);
         let cfg = PipelineConfig::default();
-        let result = run_iterative(&pairs, &cfg, &[21, 31, 41]);
+        let result = run_iterative(&pairs, &cfg, &[21, 31, 41]).expect("valid schedule");
         let first = &result.rounds[0].stats;
         let last = &result.rounds[result.rounds.len() - 1].stats;
         assert!(
@@ -239,7 +261,7 @@ mod tests {
     fn final_assembly_covers_genomes() {
         let (community, pairs) = dataset(11, 0.1);
         let cfg = PipelineConfig::default();
-        let result = run_iterative(&pairs, &cfg, &[21, 31]);
+        let result = run_iterative(&pairs, &cfg, &[21, 31]).expect("valid schedule");
         let refs: Vec<DnaSeq> = community.genomes.iter().map(|g| g.seq.clone()).collect();
         let eval = crate::stats::evaluate_against_refs(&result.contigs, &refs, 31);
         assert!(eval.genome_fraction > 0.7, "genome fraction {:.3}", eval.genome_fraction);
@@ -250,8 +272,8 @@ mod tests {
     fn deterministic() {
         let (_, pairs) = dataset(3, 0.1);
         let cfg = PipelineConfig::default();
-        let a = run_iterative(&pairs, &cfg, &[21, 31]);
-        let b = run_iterative(&pairs, &cfg, &[21, 31]);
+        let a = run_iterative(&pairs, &cfg, &[21, 31]).expect("valid schedule");
+        let b = run_iterative(&pairs, &cfg, &[21, 31]).expect("valid schedule");
         assert_eq!(a.contigs, b.contigs);
     }
 }

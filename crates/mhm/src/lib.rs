@@ -30,11 +30,11 @@ pub mod scaffold;
 pub mod scaling;
 pub mod stats;
 
-pub use errors::{ErrorKind, PipelineError};
+pub use errors::{ConfigError, ErrorKind, PipelineError};
 pub use iterative::{run_iterative, IterativeResult};
 pub use merge::{merge_reads, MergeParams, MergeStats};
 pub use pipeline::{
-    run_pipeline, EngineChoice, Phase, PhaseTimings, PipelineConfig, PipelineResult,
+    run_pipeline, EngineChoice, Phase, PhaseTimings, PipelineConfig, PipelineResult, MIN_K,
 };
 pub use scaffold::{scaffold_contigs, Scaffold, ScaffoldParams};
 pub use scaling::{PaperAnchors, ScalingError, ScalingModel};

@@ -1,6 +1,6 @@
 //! End-to-end pipeline orchestration with per-phase timing.
 
-use crate::errors::PipelineError;
+use crate::errors::{ConfigError, PipelineError};
 use crate::merge::{merge_reads, MergeParams, MergeStats};
 use crate::scaffold::{scaffold_contigs, Scaffold, ScaffoldParams};
 use align::sw::{banded_sw, SwScoring};
@@ -142,6 +142,36 @@ pub struct PipelineConfig {
     pub auto_min_count: bool,
 }
 
+/// Smallest k the pipeline accepts. A k-mer must be long enough to be
+/// unique within a genome for the de Bruijn graph to have unitigs: 4^15 ≈
+/// 1.1·10^9 possible 15-mers against the 10^5–10^7 bases of a microbial
+/// genome. Shorter k forks the graph at nearly every vertex, and the run
+/// would silently produce no contigs.
+pub const MIN_K: usize = 15;
+
+/// Reject a contig-generation k the pipeline cannot assemble with: below
+/// [`MIN_K`], above the widest packed k-mer, or even.
+pub(crate) fn validate_k(k: usize) -> Result<(), PipelineError> {
+    let reason = if k < MIN_K {
+        ConfigError::KTooSmall(k)
+    } else if k > kmer::MAX_K {
+        ConfigError::KTooLarge(k)
+    } else if k.is_multiple_of(2) {
+        ConfigError::KEven(k)
+    } else {
+        return Ok(());
+    };
+    Err(PipelineError::invalid_config(reason))
+}
+
+impl PipelineConfig {
+    /// Check the configuration before any work starts: today, that `k` is
+    /// odd and within [`MIN_K`]`..=`[`kmer::MAX_K`].
+    pub fn validate(&self) -> Result<(), PipelineError> {
+        validate_k(self.k)
+    }
+}
+
 impl Default for PipelineConfig {
     fn default() -> Self {
         PipelineConfig {
@@ -229,6 +259,7 @@ pub fn run_pipeline(
     pairs: &[PairedRead],
     cfg: &PipelineConfig,
 ) -> Result<PipelineResult, PipelineError> {
+    cfg.validate()?;
     let mut timings = PhaseTimings::new();
     let mut stats = PipelineStats { pairs_in: pairs.len(), ..Default::default() };
 
@@ -467,6 +498,30 @@ mod tests {
         let result = run_pipeline(&pairs, &cfg).expect("pipeline runs");
         assert!(result.stats.min_count_used >= 2, "cutoff {}", result.stats.min_count_used);
         assert!(result.stats.contigs_kept > 0);
+    }
+
+    #[test]
+    fn validate_rejects_unusable_k() {
+        let reason = |k| match (PipelineConfig { k, ..PipelineConfig::default() }).validate() {
+            Ok(()) => None,
+            Err(PipelineError { kind: crate::ErrorKind::InvalidConfig(e), .. }) => Some(e),
+            Err(e) => panic!("untyped rejection: {e}"),
+        };
+        assert_eq!(reason(0), Some(ConfigError::KTooSmall(0)));
+        assert_eq!(reason(MIN_K - 2), Some(ConfigError::KTooSmall(MIN_K - 2)));
+        assert_eq!(reason(kmer::MAX_K + 1), Some(ConfigError::KTooLarge(kmer::MAX_K + 1)));
+        assert_eq!(reason(32), Some(ConfigError::KEven(32)));
+        assert_eq!(reason(kmer::MAX_K), Some(ConfigError::KEven(kmer::MAX_K)));
+        for k in [MIN_K, 21, 31, 99, kmer::MAX_K - 1] {
+            assert_eq!(reason(k), None, "k={k}");
+        }
+    }
+
+    #[test]
+    fn run_pipeline_rejects_even_k_before_work() {
+        let err = run_pipeline(&[], &PipelineConfig { k: 30, ..PipelineConfig::default() })
+            .expect_err("even k");
+        assert!(matches!(err.kind, crate::ErrorKind::InvalidConfig(ConfigError::KEven(30))));
     }
 
     #[test]

@@ -3,9 +3,8 @@
 //! source genomes of a synthetic community.
 
 use bioseq::DnaSeq;
-use kmer::{Kmer, KmerIter};
+use kmer::{CanonicalKmerIter, KmerSet};
 use serde::{Deserialize, Serialize};
-use std::collections::HashSet;
 
 /// Contiguity statistics of a contig/scaffold set.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -92,17 +91,8 @@ pub fn evaluate_against_refs(assembly: &[DnaSeq], refs: &[DnaSeq], k: usize) -> 
     }
 }
 
-fn kmer_set(seqs: &[DnaSeq], k: usize) -> HashSet<Kmer> {
-    let mut set = HashSet::new();
-    for s in seqs {
-        if s.len() < k {
-            continue;
-        }
-        for (_, km) in KmerIter::new(s, k) {
-            set.insert(km.canonical());
-        }
-    }
-    set
+fn kmer_set(seqs: &[DnaSeq], k: usize) -> KmerSet {
+    seqs.iter().flat_map(|s| CanonicalKmerIter::new(s, k)).map(|(_, canon, _)| canon).collect()
 }
 
 #[cfg(test)]
