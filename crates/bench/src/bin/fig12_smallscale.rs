@@ -5,7 +5,8 @@
 //!
 //! 1. **Measured**: the real pipeline runs twice on the arcticsynth-like
 //!    preset, once per engine. Phase walls are laptop seconds; the GPU
-//!    local-assembly entry is the simulated V100 time, so the interesting
+//!    local-assembly entry is the simulated V100 wall (kernel plus modeled
+//!    pack minus the pack hidden by double buffering), so the interesting
 //!    comparisons are the *shape* ones — the local-assembly share of total
 //!    shrinks sharply, everything else is unchanged, and both engines
 //!    produce identical contigs.
@@ -35,16 +36,27 @@ fn main() {
 
     println!("=== Figure 12 (measured, laptop-scale arcticsynth-like) ===\n");
     println!("{}", render_breakdown("CPU local assembly", &cpu.timings));
-    println!("{}", render_breakdown("GPU local assembly (LA = simulated V100 time)", &gpu.timings));
+    println!(
+        "{}",
+        render_breakdown(
+            "GPU local assembly (LA = simulated V100 wall: kernel + pack - hidden)",
+            &gpu.timings
+        )
+    );
     println!(
         "local assembly share of total: CPU {:.1}% -> GPU {:.1}%",
         100.0 * cpu.timings.get(Phase::LocalAssembly) / cpu.timings.total(),
         100.0 * gpu.timings.get(Phase::LocalAssembly) / gpu.timings.total(),
     );
+    let device = gpu.stats.gpu.as_ref().expect("GPU engine reports device stats");
     println!(
-        "LA host wall {:.3}s vs simulated V100 kernel {:.4}s (units differ; see EXPERIMENTS.md)\n",
-        cpu.stats.la_wall_seconds,
-        gpu.stats.la_gpu_sim_seconds.unwrap(),
+        "LA host wall {:.3}s vs simulated V100 wall {:.4}s = kernel {:.4}s + pack {:.4}s - hidden {:.4}s \
+         (units differ; see EXPERIMENTS.md)\n",
+        cpu.timings.get(Phase::LocalAssembly),
+        gpu.timings.get(Phase::LocalAssembly),
+        device.seconds,
+        device.pack_s,
+        device.overlap_saved_s,
     );
 
     // --- model at 2 nodes with the arcticsynth profile ---

@@ -19,9 +19,7 @@
 pub mod ext;
 pub mod hash;
 pub mod kmer;
-pub mod spectrum;
 
 pub use ext::{ExtCounts, ExtVerdict, QUAL_TIER_CUTOFF};
 pub use hash::{KmerBuildHasher, KmerMap, KmerSet};
 pub use kmer::{CanonicalKmerIter, Kmer, KmerIter, MAX_K};
-pub use spectrum::Spectrum;

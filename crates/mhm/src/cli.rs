@@ -8,7 +8,7 @@
 //! directories.
 
 use crate::iterative::{default_schedule, run_iterative};
-use crate::pipeline::{run_pipeline, EngineChoice, PipelineConfig};
+use crate::pipeline::{EngineChoice, PipelineConfig};
 use crate::report::{render_breakdown, render_overlap, render_recovery, render_sanitizer};
 use crate::stats::{evaluate_against_refs, AssemblyStats};
 use bioseq::fastq::{self, NPolicy};
@@ -245,40 +245,39 @@ pub fn run_assemble(cli: &CliArgs) -> Result<String, String> {
         };
     }
 
-    let mut report = String::new();
-    let (contigs, scaffolds) = if cli.has("iterative") {
+    // A single-k run is the iterative loop with one round.
+    let mut schedule = vec![cfg.k];
+    if cli.has("iterative") {
         let max_read = pairs.iter().map(|p| p.r1.len().max(p.r2.len())).max().unwrap_or(150);
-        let mut schedule = default_schedule(max_read);
-        if schedule.is_empty() {
-            schedule = vec![cfg.k];
+        let clipped = default_schedule(max_read);
+        if !clipped.is_empty() {
+            schedule = clipped;
         }
-        let result = run_iterative(&pairs, &cfg, &schedule).map_err(|e| e.to_string())?;
-        for r in &result.rounds {
+    }
+    let mut result = run_iterative(&pairs, &cfg, &schedule).map_err(|e| e.to_string())?;
+    result.stats.merge.malformed_skipped = ingest_malformed;
+    result.stats.merge.ambiguous_dropped = ingest_ambiguous;
+
+    let mut report = String::new();
+    let mut title = "pipeline";
+    if result.stats.rounds.len() > 1 {
+        for r in &result.stats.rounds {
             report.push_str(&format!("round k={}: {}\n", r.k, r.stats.render()));
         }
         report.push('\n');
-        report.push_str(&render_breakdown("iterative pipeline", &result.timings));
-        let seqs: Vec<DnaSeq> =
-            result.scaffolds.iter().map(|s| s.render(&result.contigs)).collect();
-        (result.contigs, seqs)
-    } else {
-        let mut result = run_pipeline(&pairs, &cfg).map_err(|e| e.to_string())?;
-        result.stats.merge.malformed_skipped = ingest_malformed;
-        result.stats.merge.ambiguous_dropped = ingest_ambiguous;
-        if ingest_malformed > 0 {
-            report
-                .push_str(&format!("ingest: skipped {ingest_malformed} malformed FASTQ records\n"));
-        }
-        report.push_str(&render_breakdown("pipeline", &result.timings));
-        if result.degraded() {
-            report.push_str(&render_recovery(&result.stats));
-        }
-        report.push_str(&render_overlap(&result.stats));
-        report.push_str(&render_sanitizer(&result.stats));
-        let seqs: Vec<DnaSeq> =
-            result.scaffolds.iter().map(|s| s.render(&result.contigs)).collect();
-        (result.contigs, seqs)
-    };
+        title = "iterative pipeline";
+    }
+    if ingest_malformed > 0 {
+        report.push_str(&format!("ingest: skipped {ingest_malformed} malformed FASTQ records\n"));
+    }
+    report.push_str(&render_breakdown(title, &result.timings));
+    if result.degraded() {
+        report.push_str(&render_recovery(&result.stats));
+    }
+    report.push_str(&render_overlap(&result.stats));
+    report.push_str(&render_sanitizer(&result.stats));
+    let contigs = result.contigs;
+    let scaffolds: Vec<DnaSeq> = result.scaffolds.iter().map(|s| s.render(&contigs)).collect();
 
     let stats = AssemblyStats::of(&contigs);
     report.push_str(&format!("\ncontigs:   {}\n", stats.render()));
@@ -489,6 +488,25 @@ mod tests {
         let st = std::fs::read_to_string(dir.join("asm_st/contigs.fasta")).unwrap();
         assert_eq!(cpu, st);
 
+        // Iterative under the sanitizer: every round's scheduler section and
+        // the run's gpucheck line, as in a single-k run.
+        run(&argv(&format!(
+            "assemble --r1 {out}/reads_1.fastq --r2 {out}/reads_2.fastq --out {out}/asm_it \
+             --iterative"
+        )))
+        .expect("cpu iterative assemble");
+        let report = run(&argv(&format!(
+            "assemble --r1 {out}/reads_1.fastq --r2 {out}/reads_2.fastq --out {out}/asm_it_ws \
+             --iterative --overlap --sanitize"
+        )))
+        .expect("overlap iterative assemble");
+        assert!(report.contains("round k=21:"), "{report}");
+        assert!(report.contains("overlap scheduler (work-steal), round k=21"), "{report}");
+        assert!(report.contains("gpucheck: clean"), "{report}");
+        let it = std::fs::read_to_string(dir.join("asm_it/contigs.fasta")).unwrap();
+        let it_ws = std::fs::read_to_string(dir.join("asm_it_ws/contigs.fasta")).unwrap();
+        assert_eq!(it, it_ws);
+
         // Out-of-range fraction is rejected up front.
         let err = run(&argv(&format!(
             "assemble --r1 {out}/reads_1.fastq --r2 {out}/reads_2.fastq --out {out}/asm_bad \
@@ -636,12 +654,14 @@ mod tests {
             std::fs::write(&p, corrupted).unwrap();
         }
 
-        let report = run(&argv(&format!(
-            "assemble --r1 {out}/reads_1.fastq --r2 {out}/reads_2.fastq --out {out}/asm"
-        )))
-        .expect("assemble must survive corrupt records");
-        assert!(report.contains("skipped 2 malformed FASTQ records"), "{report}");
-        assert!(dir.join("asm/contigs.fasta").exists());
+        for mode in ["", "--iterative"] {
+            let report = run(&argv(&format!(
+                "assemble --r1 {out}/reads_1.fastq --r2 {out}/reads_2.fastq --out {out}/asm {mode}"
+            )))
+            .expect("assemble must survive corrupt records");
+            assert!(report.contains("skipped 2 malformed FASTQ records"), "{mode}: {report}");
+            assert!(dir.join("asm/contigs.fasta").exists());
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -12,8 +12,11 @@
 //! 6. **scaffolding** ([`scaffold`]) — read-pair links join contigs;
 //! 7. **file I/O** — FASTA serialization.
 //!
-//! [`pipeline::run_pipeline`] runs all of it on real data and reports
-//! per-phase wall times ([`pipeline::PhaseTimings`]). [`scaling`] projects
+//! Phases 2–5 run once per k of the schedule in one round loop,
+//! [`iterative::run_iterative`]; [`pipeline::run_pipeline`] is that loop
+//! with the single round `cfg.k`. Either runs all of it on real data and
+//! reports per-phase times ([`pipeline::PhaseTimings`]) and per-round
+//! records ([`pipeline::RoundStats`]). [`scaling`] projects
 //! measured profiles onto Summit node counts (64–1024) with the α–β
 //! communication model and the paper-anchored GPU-overhead model, producing
 //! the series behind Figures 2, 12, 13 and 14.
@@ -31,10 +34,11 @@ pub mod scaling;
 pub mod stats;
 
 pub use errors::{ConfigError, ErrorKind, PipelineError};
-pub use iterative::{run_iterative, IterativeResult};
+pub use iterative::run_iterative;
 pub use merge::{merge_reads, MergeParams, MergeStats};
 pub use pipeline::{
-    run_pipeline, EngineChoice, Phase, PhaseTimings, PipelineConfig, PipelineResult, MIN_K,
+    run_pipeline, EngineChoice, Phase, PhaseTimings, PipelineConfig, PipelineResult, PipelineStats,
+    RoundStats, MIN_K,
 };
 pub use scaffold::{scaffold_contigs, Scaffold, ScaffoldParams};
 pub use scaling::{PaperAnchors, ScalingError, ScalingModel};

@@ -1,20 +1,16 @@
 //! End-to-end pipeline orchestration with per-phase timing.
 
 use crate::errors::{ConfigError, PipelineError};
-use crate::merge::{merge_reads, MergeParams, MergeStats};
-use crate::scaffold::{scaffold_contigs, Scaffold, ScaffoldParams};
-use align::sw::{banded_sw, SwScoring};
-use align::{collect_candidates, CandidateParams, SeedIndex};
+use crate::iterative::run_iterative;
+use crate::merge::{MergeParams, MergeStats};
+use crate::scaffold::{Scaffold, ScaffoldParams};
+use crate::stats::AssemblyStats;
+use align::CandidateParams;
 use bioseq::{DnaSeq, PairedRead};
-use dbg::{count_kmers, count_kmers_with_spectrum, generate_contigs, DbgGraph};
 use gpusim::DeviceConfig;
-use locassm::gpu::{GpuLocalAssembler, GpuRunStats, KernelVersion, RecoveryStats};
-use locassm::{
-    apply_extensions, bin_tasks, extend_all_cpu_isolated, make_tasks, summarize, BinStats,
-    ExtResult, ExtSummary, LocalAssemblyParams, TaskOutcome,
-};
+use locassm::gpu::{GpuRunStats, KernelVersion, RecoveryStats};
+use locassm::{BinStats, ExtSummary, LocalAssemblyParams, ScheduleReport};
 use serde::{Deserialize, Serialize};
-use std::time::Instant;
 
 /// Pipeline phases, named as in the paper's run-time breakdowns (Fig. 2).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -83,16 +79,6 @@ impl PhaseTimings {
         self.entries.iter().find(|(p, _)| *p == phase).map_or(0.0, |(_, s)| *s)
     }
 
-    /// Replace a phase's time (used when substituting the simulated GPU
-    /// time for the measured host time).
-    pub fn set(&mut self, phase: Phase, seconds: f64) {
-        if let Some(e) = self.entries.iter_mut().find(|(p, _)| *p == phase) {
-            e.1 = seconds;
-        } else {
-            self.entries.push((phase, seconds));
-        }
-    }
-
     /// Total across phases.
     pub fn total(&self) -> f64 {
         self.entries.iter().map(|(_, s)| s).sum()
@@ -137,9 +123,6 @@ pub struct PipelineConfig {
     /// Fraction of accepted candidate alignments rescored with banded SW
     /// (the "aln kernel" phase; 0 disables).
     pub sw_rescore_frac: f64,
-    /// Derive the singleton-filter cutoff from the k-mer spectrum's error
-    /// valley instead of using `min_kmer_count` directly.
-    pub auto_min_count: bool,
 }
 
 /// Smallest k the pipeline accepts. A k-mer must be long enough to be
@@ -185,7 +168,6 @@ impl Default for PipelineConfig {
             scaffold: ScaffoldParams::default(),
             engine: EngineChoice::Cpu,
             sw_rescore_frac: 0.25,
-            auto_min_count: false,
         }
     }
 }
@@ -193,12 +175,16 @@ impl Default for PipelineConfig {
 /// Everything a pipeline run produces.
 #[derive(Debug)]
 pub struct PipelineResult {
-    /// Contigs after local-assembly extension.
+    /// Contigs after the last round's local-assembly extension.
     pub contigs: Vec<DnaSeq>,
     /// Scaffolds over the extended contigs.
     pub scaffolds: Vec<Scaffold>,
-    /// Wall-clock seconds per phase. For the GPU engine, the LocalAssembly
-    /// entry is the *simulated device time*; the host wall time is in
+    /// Seconds per phase, summed over rounds. Every phase is host wall
+    /// time except local assembly, whose time is defined per engine: host
+    /// wall on the CPU engine, the simulated device wall
+    /// ([`GpuRunStats::wall_s`]: kernel plus pack minus hidden pack) on the
+    /// GPU engine, and the makespan `max(CPU host wall, GPU wall_s)` on the
+    /// overlap engine. The host wall of local assembly on every engine is
     /// `stats.la_wall_seconds`.
     pub timings: PhaseTimings,
     pub stats: PipelineStats,
@@ -206,23 +192,25 @@ pub struct PipelineResult {
 
 impl PipelineResult {
     /// Whether local assembly had to exercise any rung of the recovery
-    /// ladder (retry, batch shrink, device reset, CPU fallback, or skip).
+    /// ladder (retry, batch shrink, device reset, CPU fallback, or skip) in
+    /// any round.
     pub fn degraded(&self) -> bool {
         self.stats.recovery.as_ref().is_some_and(RecoveryStats::any_recovery)
             || self.stats.la_failed_tasks > 0
     }
 }
 
-/// Run statistics.
+/// Run statistics. Run-wide counters (merge, local-assembly host wall,
+/// GPU stats, recovery, skipped tasks) cover every round; the per-phase
+/// counts of a round (k-mers, contigs, bins, tasks, bases appended, walk
+/// summary, scheduler report) are the last round's, the one whose contigs
+/// are the assembly. [`PipelineStats::rounds`] has every round.
 #[derive(Debug, Default)]
 pub struct PipelineStats {
     pub pairs_in: usize,
     pub merge: MergeStats,
     pub reads_for_assembly: usize,
     pub distinct_kmers: usize,
-    /// The singleton cutoff actually used (spectrum-derived when
-    /// `auto_min_count` is set).
-    pub min_count_used: u32,
     pub contigs_initial: usize,
     pub contigs_kept: usize,
     pub bins: BinStats,
@@ -232,24 +220,38 @@ pub struct PipelineStats {
     pub ext_summary: ExtSummary,
     /// Host wall seconds spent in local assembly (whichever engine).
     pub la_wall_seconds: f64,
-    /// Simulated device seconds (GPU engine only).
-    pub la_gpu_sim_seconds: Option<f64>,
-    /// GPU engine run stats (GPU engine only).
+    /// GPU engine run stats folded over rounds (GPU and overlap engines).
     pub gpu: Option<GpuRunStats>,
-    /// Recovery-ladder counters from the GPU engine (GPU engine only);
-    /// all-zero for a fault-free run.
+    /// Recovery-ladder counters from the GPU engine (GPU and overlap
+    /// engines); all-zero for a fault-free run.
     pub recovery: Option<RecoveryStats>,
     /// Tasks skipped after every recovery rung failed (their contigs keep
     /// their unextended sequence).
     pub la_failed_tasks: usize,
-    /// Overlap-scheduler report (Overlap engine only): shares, steal
+    /// Overlap-scheduler report (overlap engine only): shares, steal
     /// counts, and the virtual-time makespan model.
-    pub overlap: Option<locassm::ScheduleReport>,
+    pub overlap: Option<ScheduleReport>,
+    /// One record per k of the schedule, in order.
+    pub rounds: Vec<RoundStats>,
     pub scaffolds: usize,
     pub fasta_bytes: usize,
 }
 
-/// Run the full pipeline on a set of read pairs.
+/// One round of the k loop.
+#[derive(Debug, Clone)]
+pub struct RoundStats {
+    pub k: usize,
+    /// The round's contigs after local assembly.
+    pub stats: AssemblyStats,
+    pub bases_appended: usize,
+    /// The round's GPU engine run stats (GPU and overlap engines).
+    pub gpu: Option<GpuRunStats>,
+    /// The round's overlap-scheduler report (overlap engine only).
+    pub overlap: Option<ScheduleReport>,
+}
+
+/// Run the full pipeline at one k (`cfg.k`): the round loop of
+/// [`run_iterative`] with a single round.
 ///
 /// Recoverable device faults (injected or genuine OOM/launch failures) are
 /// absorbed by the local-assembly recovery ladder and reported as counters
@@ -259,134 +261,7 @@ pub fn run_pipeline(
     pairs: &[PairedRead],
     cfg: &PipelineConfig,
 ) -> Result<PipelineResult, PipelineError> {
-    cfg.validate()?;
-    let mut timings = PhaseTimings::new();
-    let mut stats = PipelineStats { pairs_in: pairs.len(), ..Default::default() };
-
-    // 1. merge reads
-    let t = Instant::now();
-    let (reads, merge_stats) = merge_reads(pairs, &cfg.merge);
-    timings.add(Phase::MergeReads, t.elapsed().as_secs_f64());
-    stats.merge = merge_stats;
-    stats.reads_for_assembly = reads.len();
-
-    // 2. k-mer analysis
-    let t = Instant::now();
-    let counts = if cfg.auto_min_count {
-        let (mut map, spectrum) = count_kmers_with_spectrum(&reads, cfg.k, 1, 128);
-        let cutoff = spectrum.error_cutoff().unwrap_or(cfg.min_kmer_count);
-        stats.min_count_used = cutoff.max(cfg.min_kmer_count);
-        let mc = stats.min_count_used;
-        map.retain(|_, v| v.count >= mc);
-        map
-    } else {
-        stats.min_count_used = cfg.min_kmer_count;
-        count_kmers(&reads, cfg.k, cfg.min_kmer_count)
-    };
-    timings.add(Phase::KmerAnalysis, t.elapsed().as_secs_f64());
-    stats.distinct_kmers = counts.len();
-
-    // 3. contig generation
-    let t = Instant::now();
-    let graph = DbgGraph::new(cfg.k, counts);
-    let raw_contigs = generate_contigs(&graph, cfg.min_votes);
-    stats.contigs_initial = raw_contigs.len();
-    let contigs: Vec<DnaSeq> =
-        raw_contigs.into_iter().filter(|c| c.len() >= cfg.min_contig_len).map(|c| c.seq).collect();
-    stats.contigs_kept = contigs.len();
-    timings.add(Phase::ContigGeneration, t.elapsed().as_secs_f64());
-
-    // 4. alignment (+ aln kernel rescoring)
-    let t = Instant::now();
-    let idx = SeedIndex::build(&contigs, cfg.scaffold.seed_k, cfg.scaffold.max_occ);
-    let cands = collect_candidates(&contigs, &reads, &idx, &cfg.candidates);
-    timings.add(Phase::Alignment, t.elapsed().as_secs_f64());
-
-    let t = Instant::now();
-    if cfg.sw_rescore_frac > 0.0 {
-        let mut budget =
-            (cands.iter().map(|c| c.total()).sum::<usize>() as f64 * cfg.sw_rescore_frac) as usize;
-        'outer: for (ci, c) in cands.iter().enumerate() {
-            for r in c.right.iter().chain(c.left.iter()) {
-                if budget == 0 {
-                    break 'outer;
-                }
-                let _ = banded_sw(&r.seq, &contigs[ci], SwScoring::default(), 16, 0);
-                budget -= 1;
-            }
-        }
-    }
-    timings.add(Phase::AlnKernel, t.elapsed().as_secs_f64());
-
-    // 5. local assembly
-    let cand_pairs: Vec<(Vec<bioseq::Read>, Vec<bioseq::Read>)> =
-        cands.into_iter().map(|c| (c.right, c.left)).collect();
-    let tasks = make_tasks(&contigs, &cand_pairs, &cfg.locassm);
-    stats.tasks = tasks.len();
-    stats.bins = bin_tasks(&tasks);
-    let t = Instant::now();
-    // Either engine yields per-task outcomes: a task that fails every rung
-    // of the recovery ladder is skipped (contig keeps its sequence), never
-    // fatal to the run.
-    let (results, la_failed): (Vec<ExtResult>, usize) = match &cfg.engine {
-        EngineChoice::Cpu => {
-            let outcomes = extend_all_cpu_isolated(&tasks, &cfg.locassm);
-            let failed = outcomes.iter().filter(|o| o.is_failed()).count();
-            (outcomes.into_iter().map(TaskOutcome::into_result).collect(), failed)
-        }
-        EngineChoice::Gpu { device, version } => {
-            let mut engine = GpuLocalAssembler::new(device.clone(), cfg.locassm.clone(), *version);
-            let (outcomes, gpu_stats) = engine.extend_tasks_outcomes(&tasks);
-            stats.la_gpu_sim_seconds = Some(gpu_stats.seconds);
-            stats.recovery = Some(gpu_stats.recovery.clone());
-            stats.gpu = Some(gpu_stats);
-            let failed = outcomes.iter().filter(|o| o.is_failed()).count();
-            (outcomes.into_iter().map(TaskOutcome::into_result).collect(), failed)
-        }
-        EngineChoice::Overlap { device, version, schedule } => {
-            let driver = locassm::OverlapDriver {
-                device: device.clone(),
-                version: *version,
-                schedule: schedule.clone(),
-            };
-            let out = driver
-                .run(&tasks, &cfg.locassm)
-                .map_err(|e| PipelineError::engine(Phase::LocalAssembly, e))?;
-            stats.la_gpu_sim_seconds = out.gpu_stats.as_ref().map(|s| s.seconds);
-            stats.recovery = out.gpu_stats.as_ref().map(|s| s.recovery.clone());
-            stats.gpu = out.gpu_stats;
-            stats.overlap = Some(out.schedule);
-            (out.results, out.failed_tasks)
-        }
-    };
-    stats.la_failed_tasks = la_failed;
-    stats.la_wall_seconds = t.elapsed().as_secs_f64();
-    stats.bases_appended = results.iter().map(|r| r.appended.len()).sum();
-    stats.ext_summary = summarize(&results);
-    let extended = apply_extensions(&contigs, &tasks, &results);
-    match stats.la_gpu_sim_seconds {
-        Some(sim) => timings.add(Phase::LocalAssembly, sim),
-        None => timings.add(Phase::LocalAssembly, stats.la_wall_seconds),
-    }
-
-    // 6. scaffolding
-    let t = Instant::now();
-    let scaffolds = scaffold_contigs(&extended, pairs, &cfg.scaffold);
-    stats.scaffolds = scaffolds.len();
-    timings.add(Phase::Scaffolding, t.elapsed().as_secs_f64());
-
-    // 7. file I/O (serialize to an in-memory sink; callers persist if they
-    // want a file — the cost is the serialization itself).
-    let t = Instant::now();
-    let mut sink = Vec::new();
-    let records =
-        scaffolds.iter().enumerate().map(|(i, s)| (format!("scaffold_{i}"), s.render(&extended)));
-    bioseq::fastq::write_fasta(&mut sink, records, 80)
-        .map_err(|e| PipelineError::io(Phase::FileIo, e))?;
-    stats.fasta_bytes = sink.len();
-    timings.add(Phase::FileIo, t.elapsed().as_secs_f64());
-
-    Ok(PipelineResult { contigs: extended, scaffolds, timings, stats })
+    run_iterative(pairs, cfg, &[cfg.k])
 }
 
 #[cfg(test)]
@@ -450,7 +325,7 @@ mod tests {
         let cpu = run_pipeline(&pairs, &cpu_cfg).expect("pipeline runs");
         let gpu = run_pipeline(&pairs, &gpu_cfg).expect("pipeline runs");
         assert_eq!(cpu.contigs, gpu.contigs, "engines must produce identical assemblies");
-        assert!(gpu.stats.la_gpu_sim_seconds.unwrap() > 0.0);
+        assert!(gpu.stats.gpu.as_ref().unwrap().seconds > 0.0);
         assert!(gpu.stats.gpu.as_ref().unwrap().counters.warp_insts() > 0);
     }
 
@@ -489,15 +364,6 @@ mod tests {
         let result = run_pipeline(&pairs, &PipelineConfig::default()).expect("pipeline runs");
         assert_eq!(result.stats.ext_summary.tasks, result.stats.tasks);
         assert_eq!(result.stats.ext_summary.bases_appended, result.stats.bases_appended);
-    }
-
-    #[test]
-    fn auto_min_count_uses_spectrum() {
-        let (_, pairs) = tiny_dataset();
-        let cfg = PipelineConfig { auto_min_count: true, ..PipelineConfig::default() };
-        let result = run_pipeline(&pairs, &cfg).expect("pipeline runs");
-        assert!(result.stats.min_count_used >= 2, "cutoff {}", result.stats.min_count_used);
-        assert!(result.stats.contigs_kept > 0);
     }
 
     #[test]

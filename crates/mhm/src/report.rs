@@ -1,6 +1,8 @@
 //! Text rendering of breakdowns and series tables for the figure harnesses.
 
 use crate::pipeline::{PhaseTimings, PipelineStats};
+use locassm::gpu::GpuRunStats;
+use locassm::ScheduleReport;
 
 /// Render a phase breakdown as a fixed-width table with percentage bars —
 //  the textual equivalent of the paper's pie charts (Fig. 2, Fig. 12).
@@ -73,13 +75,26 @@ pub fn render_sanitizer(stats: &PipelineStats) -> String {
 }
 
 /// Render the overlap-scheduler section: engine shares, steal counts, and
-/// the double-buffer savings. Empty when the run did not use the overlap
-/// driver.
+/// the double-buffer savings. A run of several rounds gets one section per
+/// round, its header naming the round's k. Empty when the run did not use
+/// the overlap driver.
 pub fn render_overlap(stats: &PipelineStats) -> String {
-    let Some(sched) = &stats.overlap else {
-        return String::new();
-    };
-    let mut out = format!("\noverlap scheduler ({})\n", sched.policy);
+    if let [_, _, ..] = stats.rounds.as_slice() {
+        return stats
+            .rounds
+            .iter()
+            .filter_map(|r| {
+                let sched = r.overlap.as_ref()?;
+                Some(render_schedule(sched, r.gpu.as_ref(), &format!(", round k={}", r.k)))
+            })
+            .collect();
+    }
+    stats.overlap.as_ref().map_or_else(String::new, |s| render_schedule(s, stats.gpu.as_ref(), ""))
+}
+
+/// One scheduler report's section; `suffix` follows the header's policy.
+fn render_schedule(sched: &ScheduleReport, gpu: Option<&GpuRunStats>, suffix: &str) -> String {
+    let mut out = format!("\noverlap scheduler ({}){suffix}\n", sched.policy);
     let mut line = |label: &str, value: String| {
         out.push_str(&format!("  {label:<24} {value}\n"));
     };
@@ -170,7 +185,7 @@ pub fn render_overlap(stats: &PipelineStats) -> String {
             );
         }
     }
-    if let Some(gpu) = &stats.gpu {
+    if let Some(gpu) = gpu {
         if gpu.pack_s > 0.0 {
             line(
                 "pack overlap",

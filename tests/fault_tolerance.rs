@@ -13,7 +13,7 @@ use dbg::{count_kmers, generate_contigs, DbgGraph};
 use gpusim::{DeviceConfig, Fault, FaultPlan};
 use locassm::gpu::{GpuLocalAssembler, KernelVersion};
 use locassm::{extend_all_cpu, make_tasks, ExtTask, LocalAssemblyParams};
-use mhm::{merge_reads, run_pipeline, EngineChoice, MergeParams, PipelineConfig};
+use mhm::{merge_reads, run_iterative, run_pipeline, EngineChoice, MergeParams, PipelineConfig};
 use proptest::prelude::*;
 
 /// Local-assembly tasks from the small arcticsynth-like preset.
@@ -99,18 +99,22 @@ fn pipeline_with_faulty_device_matches_cpu_contigs() {
             Fault::KernelHang { at_launch: 1, after_cycles: 5_000 },
         ],
     });
-    let gpu = run_pipeline(
-        &pairs,
-        &PipelineConfig {
-            engine: EngineChoice::Gpu { device: faulty_dev, version: KernelVersion::V2 },
-            ..PipelineConfig::default()
-        },
-    )
-    .expect("faulty pipeline must still complete");
+    let faulty_cfg = PipelineConfig {
+        engine: EngineChoice::Gpu { device: faulty_dev, version: KernelVersion::V2 },
+        ..PipelineConfig::default()
+    };
+    let gpu = run_pipeline(&pairs, &faulty_cfg).expect("faulty pipeline must still complete");
     assert_eq!(cpu.contigs, gpu.contigs, "faults must not change contigs");
     assert!(gpu.degraded(), "recovery must be visible in the result");
     let recovery = gpu.stats.recovery.as_ref().expect("gpu run records recovery");
     assert!(recovery.any_recovery());
+
+    // The same device in every round of an iterative run.
+    let schedule = [21, 31];
+    let cpu = run_iterative(&pairs, &PipelineConfig::default(), &schedule).expect("cpu rounds");
+    let gpu = run_iterative(&pairs, &faulty_cfg, &schedule).expect("faulty rounds complete");
+    assert_eq!(cpu.contigs, gpu.contigs, "faults must not change iterative contigs");
+    assert!(gpu.degraded(), "recovery in any round must be visible in the result");
 }
 
 #[test]
