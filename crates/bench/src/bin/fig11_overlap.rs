@@ -1,9 +1,7 @@
 //! Figure 11-style overlap study: static `cpu_bin2_fraction` split vs the
 //! work-stealing scheduler on a size-skewed seeded workload, plus the
-//! calibration ablation (oracle vs 10×-mis-seeded CPU rates, with and
-//! without the EWMA feedback loop), the multi-GPU striping comparison
-//! (round-robin vs LPT, homogeneous and mixed-fleet) and byte-identity
-//! checks across scheduler × calibration × fault configurations.
+//! adaptive drain-sizing ablation and byte-identity checks across
+//! scheduler × fault configurations.
 //!
 //! Emits `results/BENCH_overlap.json` (hand-rolled JSON; the workspace has
 //! no serde_json) so CI can accumulate the perf trajectory. `--tiny` runs
@@ -14,10 +12,10 @@
 use bioseq::{DnaSeq, Read};
 use gpusim::{DeviceConfig, Fault, FaultPlan};
 use locassm::gpu::pack::estimate_task_words;
-use locassm::gpu::{KernelVersion, MultiGpuAssembler, StripePolicy};
+use locassm::gpu::KernelVersion;
 use locassm::{
-    extend_all_cpu, CalibrationConfig, ContigEnd, ExtTask, LocalAssemblyParams, OverlapDriver,
-    SchedulePolicy, StealConfig,
+    extend_all_cpu, ContigEnd, ExtTask, LocalAssemblyParams, OverlapDriver, SchedulePolicy,
+    StealConfig,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -27,10 +25,9 @@ fn random_seq(len: usize, rng: &mut StdRng) -> DnaSeq {
     (0..len).map(|_| bioseq::Base::from_code(rng.gen_range(0..4))).collect()
 }
 
-/// Size-skewed workload: a minority of heavy bin-3 tasks carry most of the
-/// estimated words, and they sit at stride `n_devices` so round-robin
-/// striping piles them all onto device 0. Light bin-2 tasks are emitted in
-/// ascending size order, the worst case for a prefix split.
+/// Size-skewed workload: a minority of heavy bin-3 tasks, one every
+/// `heavy_stride` tasks, carry most of the estimated words. Light bin-2
+/// tasks cycle through ascending sizes, the worst case for a prefix split.
 fn skewed_tasks(n: usize, heavy_stride: usize, seed: u64) -> Vec<ExtTask> {
     let mut rng = StdRng::seed_from_u64(seed);
     (0..n)
@@ -57,8 +54,8 @@ fn skewed_tasks(n: usize, heavy_stride: usize, seed: u64) -> Vec<ExtTask> {
 fn main() {
     let tiny = std::env::args().any(|a| a == "--tiny");
     let n_tasks = if tiny { 64 } else { 192 };
-    const N_DEVICES: usize = 4;
-    let tasks = skewed_tasks(n_tasks, N_DEVICES, 4242);
+    const HEAVY_STRIDE: usize = 4;
+    let tasks = skewed_tasks(n_tasks, HEAVY_STRIDE, 4242);
     let params = LocalAssemblyParams::for_tests();
     let total_words: u64 = tasks.iter().map(|t| estimate_task_words(t, &params)).sum();
     println!("=== Figure 11: CPU/GPU overlap scheduling on a skewed workload ===");
@@ -69,7 +66,7 @@ fn main() {
 
     let reference = extend_all_cpu(&tasks, &params);
 
-    // --- calibrate: effective GPU throughput (est words per wall second,
+    // --- probe: effective GPU throughput (est words per wall second,
     // simulated), then model the CPU peer as a full many-core socket worth
     // 2x one GPU's rate — the node shape where a static split hurts most,
     // because it pins every bin-3 task on the GPU no matter how the rates
@@ -85,24 +82,16 @@ fn main() {
     let probe_stats = probe.gpu_stats.as_ref().expect("probe uses the GPU");
     let gpu_rate = total_words as f64 / probe_stats.wall_s().max(1e-12);
     let cpu_rate = 2.0 * gpu_rate;
-    println!("calibrated GPU rate: {gpu_rate:.3e} est words/s (CPU peer modeled at 2x)");
+    println!("probed GPU rate: {gpu_rate:.3e} est words/s (CPU peer modeled at 2x)");
 
     // The CPU peer is *modeled* (host wall seconds here are simulator
-    // driving cost, not the modeled socket), so pin the calibration loop's
-    // observation source to the modeled rate: belief starts equal to truth
-    // and the schedule matches the constant-rate scheduler exactly.
-    let steal_cfg = StealConfig {
-        batch_words: 32 * 1024,
-        cpu_words_per_s: cpu_rate,
-        calibration: CalibrationConfig {
-            cpu_true_words_per_s: Some(cpu_rate),
-            ..CalibrationConfig::default()
-        },
-        ..StealConfig::default()
-    };
+    // driving cost, not the modeled socket): the scheduler's CPU clock
+    // runs at the modeled rate.
+    let steal_cfg =
+        StealConfig { batch_words: 32 * 1024, cpu_words_per_s: cpu_rate, ..StealConfig::default() };
 
     // --- static 0.5 baseline: makespan is the slower of the two engine
-    // models at the calibrated rate.
+    // models at the probed rate.
     let st = OverlapDriver { device: device.clone(), ..OverlapDriver::static_split(0.5) }
         .run(&tasks, &params)
         .expect("static runs");
@@ -145,134 +134,6 @@ fn main() {
         "work-steal must beat the static split by >= 15%, got {improvement:.1}%"
     );
 
-    // --- calibration ablation: seed the CPU-rate model 10x off in either
-    // direction and let the EWMA feedback loop recover. The CPU's "true"
-    // rate is pinned (observations are modeled at `cpu_rate`, not host
-    // wall), so every trajectory is deterministic and the *realized*
-    // makespan — the sum of observed engine times, belief-independent in
-    // its units — is comparable across runs. The fine 8 KiB granularity
-    // gives the estimator enough batches to converge within the run.
-    let ablate = |seed: f64, enabled: bool| {
-        let out = OverlapDriver {
-            device: device.clone(),
-            schedule: SchedulePolicy::WorkSteal(StealConfig {
-                batch_words: 8 * 1024,
-                cpu_words_per_s: seed,
-                calibration: CalibrationConfig {
-                    enabled,
-                    cpu_true_words_per_s: Some(cpu_rate),
-                    ..CalibrationConfig::default()
-                },
-                ..StealConfig::default()
-            }),
-            ..Default::default()
-        }
-        .run(&tasks, &params)
-        .expect("ablation run");
-        assert_eq!(
-            out.results, reference,
-            "calibration (seed {seed:.3e}, enabled {enabled}) must stay byte-identical"
-        );
-        out.schedule.calibration.expect("work-steal always reports calibration")
-    };
-    let oracle = ablate(cpu_rate, true);
-    let cal_hi = ablate(10.0 * cpu_rate, true);
-    let cal_lo = ablate(cpu_rate / 10.0, true);
-    let uncal_hi = ablate(10.0 * cpu_rate, false);
-    let uncal_lo = ablate(cpu_rate / 10.0, false);
-    let oracle_mk = oracle.realized_makespan_s();
-    println!("\ncalibration ablation (realized makespan, oracle = correctly-seeded):");
-    println!("  oracle seed:            {oracle_mk:.6} s ({} cpu updates)", oracle.cpu_updates);
-    for (name, rep) in [("10x-high + EWMA", &cal_hi), ("10x-low  + EWMA", &cal_lo)] {
-        let mk = rep.realized_makespan_s();
-        println!(
-            "  {name}: {mk:.6} s ({:.1}% of oracle, converged {:.3e} w/s)",
-            100.0 * mk / oracle_mk,
-            rep.cpu_words_per_s
-        );
-        assert!(
-            mk <= 1.2 * oracle_mk,
-            "{name} must converge within 20% of the oracle makespan: \
-             {mk:.6} vs {oracle_mk:.6}"
-        );
-    }
-    for (name, rep) in [("10x-high, no EWMA", &uncal_hi), ("10x-low,  no EWMA", &uncal_lo)] {
-        let mk = rep.realized_makespan_s();
-        println!("  {name}: {mk:.6} s ({:.1}% of oracle)", 100.0 * mk / oracle_mk);
-    }
-    // One mis-seed direction can luckily help (over-feeding the engine that
-    // is genuinely faster), so the contrast claim is about the worst case:
-    // without feedback, *some* 10x mis-seed blows the 20% budget that every
-    // calibrated trajectory stays inside.
-    let uncal_worst = uncal_hi.realized_makespan_s().max(uncal_lo.realized_makespan_s());
-    assert!(
-        uncal_worst > 1.2 * oracle_mk,
-        "a 10x mis-seed without calibration must cost more than the 20% \
-         convergence budget, got {uncal_worst:.6} vs oracle {oracle_mk:.6}"
-    );
-
-    // --- per-bin rate-model ablation: bins with genuinely different CPU
-    // cost profiles (bin 2 scattered at 0.4x the pooled figure, bin 3
-    // cache-friendly at 2.5x). The pooled EWMA must average the two and
-    // mis-model the CPU clock; the per-bin model prices each bin at its
-    // own converged rate, so its clock tracks the realized CPU time
-    // tighter. Model error here is the CPU-clock error |model − realized|
-    // / realized — the GPU clock advances by direct observation and never
-    // contributes model error.
-    let bin2_true = 0.4 * cpu_rate;
-    let bin3_true = 2.5 * cpu_rate;
-    let per_bin_run = |per_bin: bool| {
-        let out = OverlapDriver {
-            device: device.clone(),
-            schedule: SchedulePolicy::WorkSteal(StealConfig {
-                batch_words: 8 * 1024,
-                cpu_words_per_s: cpu_rate,
-                calibration: CalibrationConfig {
-                    per_bin,
-                    cpu_true_bin2_words_per_s: Some(bin2_true),
-                    cpu_true_bin3_words_per_s: Some(bin3_true),
-                    ..CalibrationConfig::default()
-                },
-                ..StealConfig::default()
-            }),
-            ..Default::default()
-        }
-        .run(&tasks, &params)
-        .expect("per-bin ablation run");
-        assert_eq!(
-            out.results, reference,
-            "per-bin model (per_bin {per_bin}) must stay byte-identical"
-        );
-        out.schedule
-    };
-    let cpu_model_err = |s: &locassm::ScheduleReport| {
-        let cal = s.calibration.as_ref().expect("work-steal reports calibration");
-        if cal.cpu_realized_s > 0.0 {
-            (s.cpu_model_s - cal.cpu_realized_s).abs() / cal.cpu_realized_s
-        } else {
-            0.0
-        }
-    };
-    let pooled_sched = per_bin_run(false);
-    let perbin_sched = per_bin_run(true);
-    let (pooled_err, perbin_err) = (cpu_model_err(&pooled_sched), cpu_model_err(&perbin_sched));
-    let perbin_cal = perbin_sched.calibration.as_ref().expect("calibration report");
-    println!("\nper-bin rate model (bin-2 true {bin2_true:.3e}, bin-3 true {bin3_true:.3e} w/s):");
-    println!("  pooled EWMA:  cpu-clock model error {:.2}%", 100.0 * pooled_err);
-    println!(
-        "  per-bin:      cpu-clock model error {:.2}% (bin-2 {:.3e} w/s x{}, bin-3 {:.3e} w/s x{})",
-        100.0 * perbin_err,
-        perbin_cal.cpu_bin2_words_per_s,
-        perbin_cal.cpu_bin2_updates,
-        perbin_cal.cpu_bin3_words_per_s,
-        perbin_cal.cpu_bin3_updates
-    );
-    assert!(
-        perbin_err <= pooled_err + 1e-9,
-        "per-bin model error must not exceed the pooled model's on a skewed mix: \
-         {perbin_err:.4} vs {pooled_err:.4}"
-    );
-
     // --- adaptive drain-point batch sizing: coarse granularity makes the
     // classic last-batch imbalance (one engine takes the final coarse
     // chunk while the other idles). Adaptive sizing halves the steal
@@ -280,8 +141,8 @@ fn main() {
     // so the tail is dealt in slivers both engines can share. The slow
     // engine here is the modeled CPU (a small host at half the GPU's
     // rate): its cost is linear in words, so the overshoot is purely the
-    // last-batch effect with no launch-overhead confound, and rates are
-    // pinned so realized makespans are deterministic and comparable.
+    // last-batch effect with no launch-overhead confound, and both clocks
+    // are modeled so the makespans are deterministic and comparable.
     let coarse_words = (total_words / 4).max(1);
     let drain_cpu_rate = 0.5 * gpu_rate;
     let drain_run = |adaptive: bool| {
@@ -293,11 +154,6 @@ fn main() {
                 adaptive_batch: adaptive,
                 drain_factor: 4.0,
                 min_batch_words: (coarse_words / 8).max(1),
-                calibration: CalibrationConfig {
-                    cpu_true_words_per_s: Some(drain_cpu_rate),
-                    ..CalibrationConfig::default()
-                },
-                ..StealConfig::default()
             }),
             ..Default::default()
         }
@@ -311,14 +167,13 @@ fn main() {
     };
     let drain_static = drain_run(false);
     let drain_adaptive = drain_run(true);
-    let drain_static_mk = drain_static.calibration.as_ref().expect("report").realized_makespan_s();
-    let drain_adaptive_mk =
-        drain_adaptive.calibration.as_ref().expect("report").realized_makespan_s();
+    let drain_static_mk = drain_static.makespan_model_s();
+    let drain_adaptive_mk = drain_adaptive.makespan_model_s();
     let drain_gain = 100.0 * (drain_static_mk - drain_adaptive_mk) / drain_static_mk.max(1e-12);
     println!("\nadaptive drain sizing (coarse batch {coarse_words} w):");
-    println!("  static granularity:   realized makespan {drain_static_mk:.6} s");
+    println!("  static granularity:   model makespan {drain_static_mk:.6} s");
     println!(
-        "  adaptive granularity: realized makespan {drain_adaptive_mk:.6} s \
+        "  adaptive granularity: model makespan {drain_adaptive_mk:.6} s \
          ({drain_gain:.1}% better, {} drain splits, min issued {} w)",
         drain_adaptive.drain_splits, drain_adaptive.min_issued_batch_words
     );
@@ -329,65 +184,8 @@ fn main() {
     );
     assert!(
         drain_adaptive_mk < drain_static_mk,
-        "adaptive drain sizing must improve the realized makespan on the \
+        "adaptive drain sizing must improve the model makespan on the \
          last-batch-imbalance scenario: {drain_adaptive_mk:.6} vs {drain_static_mk:.6}"
-    );
-
-    // --- multi-GPU striping: round-robin vs LPT on the same skew.
-    let balance_of = |policy: StripePolicy| {
-        let multi =
-            MultiGpuAssembler::new(device.clone(), params.clone(), KernelVersion::V2, N_DEVICES)
-                .with_stripe_policy(policy);
-        let (results, stats) = multi.extend_tasks(&tasks);
-        assert_eq!(results, reference, "{policy:?} striping must be byte-identical");
-        stats.balance_efficiency()
-    };
-    let balance_rr = balance_of(StripePolicy::RoundRobin);
-    let balance_lpt = balance_of(StripePolicy::WordsLpt);
-    println!("\nmulti-GPU balance ({N_DEVICES} devices): round-robin {balance_rr:.3}, LPT {balance_lpt:.3}");
-    assert!(balance_rr < 0.6, "skew must defeat round-robin striping, got {balance_rr:.3}");
-    assert!(balance_lpt >= 0.9, "LPT striping must balance the skew, got {balance_lpt:.3}");
-
-    // --- mixed fleet: device 3 runs at half clock and half memory
-    // bandwidth (~0.5x throughput). Rate-blind LPT deals it a full-speed
-    // share and it becomes the makespan; rate-aware LPT weighs its load by
-    // the configured 0.5 rate and wins the balance back.
-    let slow_device = DeviceConfig {
-        clock_ghz: device.clock_ghz * 0.5,
-        dram_gbps: device.dram_gbps * 0.5,
-        ..device.clone()
-    };
-    let mixed_configs = || {
-        let mut fleet = vec![device.clone(); N_DEVICES - 1];
-        fleet.push(slow_device.clone());
-        fleet
-    };
-    let mixed_balance_of = |rates: Option<Vec<f64>>| {
-        let mut multi = MultiGpuAssembler::with_device_configs(
-            mixed_configs(),
-            params.clone(),
-            KernelVersion::V2,
-        );
-        if let Some(r) = rates {
-            multi = multi.with_device_rates(r);
-        }
-        let (results, stats) = multi.extend_tasks(&tasks);
-        assert_eq!(results, reference, "mixed-fleet striping must be byte-identical");
-        stats.balance_efficiency()
-    };
-    let mut aware_rates = vec![1.0; N_DEVICES - 1];
-    aware_rates.push(0.5);
-    let balance_mixed_blind = mixed_balance_of(None);
-    let balance_mixed_aware = mixed_balance_of(Some(aware_rates));
-    println!(
-        "mixed fleet (device {} at 0.5x): rate-blind LPT {balance_mixed_blind:.3}, \
-         rate-aware LPT {balance_mixed_aware:.3}",
-        N_DEVICES - 1
-    );
-    assert!(
-        balance_mixed_aware > balance_mixed_blind + 0.05,
-        "rate-aware LPT must beat rate-blind LPT on a mixed fleet: \
-         {balance_mixed_aware:.3} vs {balance_mixed_blind:.3}"
     );
 
     // --- byte-identity across scheduler × fault configurations.
@@ -411,16 +209,6 @@ fn main() {
             },
         ),
     ];
-    let calibrated = |seed: f64| {
-        SchedulePolicy::WorkSteal(StealConfig {
-            cpu_words_per_s: seed,
-            calibration: CalibrationConfig {
-                cpu_true_words_per_s: Some(cpu_rate),
-                ..CalibrationConfig::default()
-            },
-            ..steal_cfg.clone()
-        })
-    };
     let schedules: Vec<(&str, SchedulePolicy)> = vec![
         ("static-0.0", SchedulePolicy::Static { cpu_bin2_fraction: 0.0 }),
         ("static-0.5", SchedulePolicy::Static { cpu_bin2_fraction: 0.5 }),
@@ -430,48 +218,14 @@ fn main() {
             "ws-fine",
             SchedulePolicy::WorkSteal(StealConfig { batch_words: 8 * 1024, ..steal_cfg.clone() }),
         ),
-        // Every calibration trajectory — correctly seeded and 10x off both
-        // ways — must leave the assembled bytes untouched under every fault
-        // plan: calibration moves work between engines, never results.
-        ("ws-cal-oracle", calibrated(cpu_rate)),
-        ("ws-cal-mis-hi", calibrated(10.0 * cpu_rate)),
-        ("ws-cal-mis-lo", calibrated(cpu_rate / 10.0)),
-        // PR 5 refinements: bin-resolved rate pricing and adaptive drain
-        // sizing reshape the schedule, so they must also leave the bytes
-        // untouched — alone and stacked.
-        (
-            "ws-perbin",
-            SchedulePolicy::WorkSteal(StealConfig {
-                calibration: CalibrationConfig {
-                    per_bin: true,
-                    cpu_true_bin2_words_per_s: Some(0.4 * cpu_rate),
-                    cpu_true_bin3_words_per_s: Some(2.5 * cpu_rate),
-                    ..CalibrationConfig::default()
-                },
-                ..steal_cfg.clone()
-            }),
-        ),
+        // Adaptive drain sizing reshapes the schedule, so it must also
+        // leave the bytes untouched.
         (
             "ws-adaptive",
             SchedulePolicy::WorkSteal(StealConfig {
                 adaptive_batch: true,
                 drain_factor: 4.0,
                 min_batch_words: 1024,
-                ..steal_cfg.clone()
-            }),
-        ),
-        (
-            "ws-perbin-adaptive",
-            SchedulePolicy::WorkSteal(StealConfig {
-                adaptive_batch: true,
-                drain_factor: 4.0,
-                min_batch_words: 1024,
-                calibration: CalibrationConfig {
-                    per_bin: true,
-                    cpu_true_bin2_words_per_s: Some(0.4 * cpu_rate),
-                    cpu_true_bin3_words_per_s: Some(2.5 * cpu_rate),
-                    ..CalibrationConfig::default()
-                },
                 ..steal_cfg.clone()
             }),
         ),
@@ -511,40 +265,6 @@ fn main() {
         json,
         "  \"overlap_saved_s\": {:.9},",
         ws.gpu_stats.as_ref().map_or(0.0, |g| g.overlap_saved_s)
-    );
-    let _ = writeln!(json, "  \"balance_round_robin\": {balance_rr:.4},");
-    let _ = writeln!(json, "  \"balance_lpt\": {balance_lpt:.4},");
-    let _ = writeln!(json, "  \"balance_mixed_rate_blind\": {balance_mixed_blind:.4},");
-    let _ = writeln!(json, "  \"balance_mixed_rate_aware\": {balance_mixed_aware:.4},");
-    let _ = writeln!(json, "  \"calibration_oracle_makespan_s\": {oracle_mk:.9},");
-    let _ =
-        writeln!(json, "  \"calibration_mis_hi_makespan_s\": {:.9},", cal_hi.realized_makespan_s());
-    let _ =
-        writeln!(json, "  \"calibration_mis_lo_makespan_s\": {:.9},", cal_lo.realized_makespan_s());
-    let _ = writeln!(
-        json,
-        "  \"uncalibrated_mis_hi_makespan_s\": {:.9},",
-        uncal_hi.realized_makespan_s()
-    );
-    let _ = writeln!(
-        json,
-        "  \"uncalibrated_mis_lo_makespan_s\": {:.9},",
-        uncal_lo.realized_makespan_s()
-    );
-    let _ = writeln!(json, "  \"calibration_cpu_updates\": {},", cal_hi.cpu_updates);
-    let _ =
-        writeln!(json, "  \"calibration_rel_err_vs_realized\": {:.6},", oracle.rel_err_vs_realized);
-    let _ = writeln!(json, "  \"per_bin_pooled_model_err\": {pooled_err:.6},");
-    let _ = writeln!(json, "  \"per_bin_model_err\": {perbin_err:.6},");
-    let _ = writeln!(
-        json,
-        "  \"per_bin_cpu_bin2_words_per_s\": {:.3},",
-        perbin_cal.cpu_bin2_words_per_s
-    );
-    let _ = writeln!(
-        json,
-        "  \"per_bin_cpu_bin3_words_per_s\": {:.3},",
-        perbin_cal.cpu_bin3_words_per_s
     );
     let _ = writeln!(json, "  \"drain_static_makespan_s\": {drain_static_mk:.9},");
     let _ = writeln!(json, "  \"drain_adaptive_makespan_s\": {drain_adaptive_mk:.9},");

@@ -169,9 +169,6 @@ impl OverlapDriver {
                 if cfg.min_batch_words == 0 {
                     return bad("min_batch_words must be >= 1".to_string());
                 }
-                if let Err(what) = cfg.calibration.validate() {
-                    return bad(what);
-                }
             }
         }
         Ok(())
@@ -487,24 +484,10 @@ mod tests {
             .run(&tasks, &params)
             .expect_err("zero min_batch_words must be rejected");
         assert!(matches!(err, DriverError::BadConfig { .. }));
-        use crate::calibrate::CalibrationConfig;
-        for cal in [
-            CalibrationConfig { alpha: 0.0, ..Default::default() },
-            CalibrationConfig { alpha: f64::NAN, ..Default::default() },
-            CalibrationConfig { cpu_true_words_per_s: Some(-1.0), ..Default::default() },
-            CalibrationConfig { per_bin: true, enabled: false, ..Default::default() },
-            CalibrationConfig { min_bin_obs: 0, ..Default::default() },
-        ] {
-            let err = ws(StealConfig { calibration: cal.clone(), ..Default::default() })
-                .run(&tasks, &params)
-                .expect_err("bad calibration config must be rejected");
-            assert!(matches!(err, DriverError::BadConfig { .. }), "calibration {cal:?}");
-        }
     }
 
     #[test]
-    fn per_bin_and_adaptive_match_pure_cpu() {
-        use crate::calibrate::CalibrationConfig;
+    fn adaptive_batch_matches_pure_cpu() {
         let tasks = tasks_with_mixed_bins();
         let params = LocalAssemblyParams::for_tests();
         let pure = extend_all_cpu(&tasks, &params);
@@ -513,33 +496,14 @@ mod tests {
                 batch_words: 4 * 1024,
                 adaptive_batch: true,
                 min_batch_words: 256,
-                calibration: CalibrationConfig {
-                    per_bin: true,
-                    min_bin_obs: 1,
-                    cpu_true_bin2_words_per_s: Some(1.0e6),
-                    cpu_true_bin3_words_per_s: Some(4.0e6),
-                    ..Default::default()
-                },
                 ..Default::default()
             }),
             ..Default::default()
         };
         let outcome = driver.run(&tasks, &params).expect("driver runs");
-        assert_eq!(outcome.results, pure, "new knobs must not change results");
+        assert_eq!(outcome.results, pure, "adaptive sizing must not change results");
         assert!(outcome.schedule.adaptive_batch);
         assert!(outcome.schedule.min_issued_batch_words >= 1, "no issued batch may be zero words");
-        let cal = outcome.schedule.calibration.expect("work-steal reports calibration");
-        assert!(cal.per_bin);
-        assert_eq!(
-            cal.cpu_bin2_updates + cal.cpu_bin3_updates,
-            cal.cpu_updates,
-            "every CPU observation lands in exactly one bin"
-        );
-        assert_eq!(
-            cal.gpu_bin2_updates + cal.gpu_bin3_updates,
-            cal.gpu_updates,
-            "every GPU observation lands in exactly one bin"
-        );
     }
 
     #[test]
@@ -585,34 +549,5 @@ mod tests {
             let stats = outcome.gpu_stats.expect("gpu ran");
             assert!(stats.recovery.any_recovery(), "ladder must have been exercised");
         }
-    }
-
-    #[test]
-    fn double_buffer_saves_wall_seconds() {
-        let tasks = tasks_with_mixed_bins();
-        let params = LocalAssemblyParams::for_tests();
-        // Small granularity so each heavy task is its own batch, and a
-        // near-zero CPU rate so the GPU deterministically drains several
-        // batches — double-buffer savings only accrue from batch 2 on.
-        let cfg = |db: bool| OverlapDriver {
-            schedule: SchedulePolicy::WorkSteal(StealConfig {
-                batch_words: 2048,
-                cpu_words_per_s: 1.0,
-                double_buffer: db,
-                // Pin the rate: with calibration reading real host wall
-                // clocks the CPU would be recognized as fast and steal the
-                // batches this test needs on the GPU.
-                calibration: crate::calibrate::CalibrationConfig::off(),
-                ..Default::default()
-            }),
-            ..Default::default()
-        };
-        let on = cfg(true).run(&tasks, &params).expect("runs");
-        let off = cfg(false).run(&tasks, &params).expect("runs");
-        assert_eq!(on.results, off.results, "double-buffering is timing-only");
-        let (s_on, s_off) = (on.gpu_stats.expect("gpu ran"), off.gpu_stats.expect("gpu ran"));
-        assert_eq!(s_off.overlap_saved_s, 0.0);
-        assert!(s_on.overlap_saved_s > 0.0, "multi-batch run must overlap pack with exec");
-        assert!(s_on.wall_s() < s_off.wall_s());
     }
 }

@@ -31,8 +31,7 @@ pub struct RecoveryPolicy {
     pub max_device_resets: u64,
     /// After the ladder's device rungs are exhausted, run the affected
     /// tasks on the CPU reference engine (`true`) or report them as
-    /// [`TaskOutcome::Failed`] so the caller can reschedule them (`false`,
-    /// what the multi-GPU dispatcher uses).
+    /// [`TaskOutcome::Failed`] so the caller can reschedule them (`false`).
     pub cpu_fallback: bool,
     /// Simulated wait before the first device reset; doubles per reset.
     pub backoff_base_s: f64,
@@ -645,6 +644,25 @@ mod tests {
         assert_eq!(cpu, gpu, "batch splitting must not change results");
     }
 
+    #[test]
+    fn double_buffer_saves_wall_seconds() {
+        let tasks = make_test_tasks(8);
+        // Tight memory so the run takes several launches: double-buffer
+        // savings only accrue from batch 2 on.
+        let run = |double_buffer: bool| {
+            let mut eng = engine(KernelVersion::V2).with_double_buffer(double_buffer);
+            eng.mem_budget_frac = 0.0001;
+            eng.extend_tasks(&tasks)
+        };
+        let (on, s_on) = run(true);
+        let (off, s_off) = run(false);
+        assert!(s_on.batches > 1, "expected multiple batches, got {}", s_on.batches);
+        assert_eq!(on, off, "double-buffering is timing-only");
+        assert_eq!(s_off.overlap_saved_s, 0.0);
+        assert!(s_on.overlap_saved_s > 0.0, "multi-batch run must overlap pack with exec");
+        assert!(s_on.wall_s() < s_off.wall_s());
+    }
+
     fn faulty_engine(plan: gpusim::FaultPlan) -> GpuLocalAssembler {
         GpuLocalAssembler::new(
             DeviceConfig::v100().with_fault_plan(plan),
@@ -721,9 +739,8 @@ mod tests {
                 .map(|i| Fault::KernelHang { at_launch: i, after_cycles: 100 })
                 .collect(),
         };
-        // With CPU fallback disabled (the multi-GPU dispatcher's round-1
-        // policy), unrecoverable tasks surface as Failed outcomes instead
-        // of silently emptying.
+        // With CPU fallback disabled, unrecoverable tasks surface as Failed
+        // outcomes instead of silently emptying.
         let mut eng = faulty_engine(plan)
             .with_recovery_policy(RecoveryPolicy { cpu_fallback: false, ..Default::default() });
         let (outcomes, stats) = eng.extend_tasks_outcomes(&tasks);

@@ -15,11 +15,9 @@ pub mod engine;
 pub mod kernel;
 pub mod kernel_v1;
 pub mod layout;
-pub mod multi;
 pub mod pack;
 
 pub use engine::{
     GpuLocalAssembler, GpuRunStats, RecoveryPolicy, RecoveryStats, DEFAULT_PACK_WORDS_PER_S,
 };
 pub use kernel::KernelVersion;
-pub use multi::{MultiGpuAssembler, MultiGpuStats, StripePolicy};

@@ -43,10 +43,10 @@ pub struct GpuBatch {
 }
 
 /// Device words one task will consume. This is the workspace's single task
-/// cost model, with three consumers that must stay consistent: the engine
-/// batches against the device memory budget with it, the work-stealing
-/// scheduler sizes its batches by it (`schedule::build_batches`), and the
-/// multi-GPU dispatcher LPT-stripes shards by it (`StripePolicy::WordsLpt`).
+/// cost model, with two consumers that must stay consistent: the engine
+/// batches against the device memory budget with it, and the overlap
+/// schedulers size their shares by it (`schedule::build_batches` and the
+/// static bin-2 deal).
 pub fn estimate_task_words(task: &ExtTask, params: &LocalAssemblyParams) -> u64 {
     let read_words: u64 = task
         .reads
@@ -65,11 +65,10 @@ pub fn estimate_task_words(task: &ExtTask, params: &LocalAssemblyParams) -> u64 
 }
 
 /// [`estimate_task_words`] clamped to ≥ 1 — the *scheduling* cost of a
-/// task. Every scheduler (work-steal batches, the static bin-2 deal,
-/// multi-GPU LPT striping) must charge at least one word per task:
-/// a zero-cost task would advance no virtual clock and add no bin load,
-/// so one engine could drain arbitrarily many of them "for free" and the
-/// schedule's balance claims would be fiction.
+/// task. Every scheduler (work-steal batches, the static bin-2 deal) must
+/// charge at least one word per task: a zero-cost task would advance no
+/// virtual clock, so one engine could drain arbitrarily many of them "for
+/// free" and the schedule's balance claims would be fiction.
 pub fn estimate_task_cost(task: &ExtTask, params: &LocalAssemblyParams) -> u64 {
     estimate_task_words(task, params).max(1)
 }

@@ -39,7 +39,6 @@
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
 pub mod binning;
-pub mod calibrate;
 pub mod cpu;
 pub mod driver;
 pub mod gpu;
@@ -49,7 +48,6 @@ pub mod summary;
 pub mod task;
 
 pub use binning::{bin_tasks, Bin, BinStats};
-pub use calibrate::{BinRateModel, CalibrationConfig, CalibrationReport, RateEstimator};
 pub use cpu::{extend_all_cpu, extend_all_cpu_isolated, extend_end_cpu};
 pub use driver::{DriverError, OverlapDriver, OverlapOutcome, SchedulePolicy};
 pub use params::{KShift, LocalAssemblyParams, ShiftDir, WalkState};

@@ -17,38 +17,24 @@
 //! Because the GPU is a simulator, "time" here is **virtual**: the GPU
 //! clock advances by [`GpuRunStats::wall_s`] (simulated kernel seconds plus
 //! the modeled pack cost minus double-buffer savings) and the CPU clock by
-//! `estimated words / rate`, where the rate starts at the configured
-//! `cpu_words_per_s` **seed** and — with calibration enabled — converges on
-//! the observed throughput via the EWMA of [`crate::calibrate`], rebasing
-//! the CPU clock after every observation. That keeps the schedule — and
-//! therefore every test and bench number — deterministic (observations are
-//! simulated or modeled, never host wall when a true rate is configured),
-//! while the actual task execution still runs on the host engines.
-//! Results are index-aligned and byte-identical to
+//! `estimated words / cpu_words_per_s`, a constant rate. Neither clock reads
+//! host wall time, so the schedule — and therefore every test and bench
+//! number — is deterministic, while the actual task execution still runs on
+//! the host engines. Results are index-aligned and byte-identical to
 //! [`crate::cpu::extend_all_cpu`] regardless of who ran what (the
 //! engine-equivalence invariant).
 //!
-//! Two refinements layer on top of the PR 4 calibration loop, both off by
-//! default (the defaults reproduce the PR 4 schedule bit-for-bit):
-//!
-//! * **per-bin rates** ([`CalibrationConfig::per_bin`]) — bin-2 and bin-3
-//!   batches feed separate estimators via
-//!   [`crate::calibrate::BinRateModel`], and the CPU clock prices each
-//!   bin's words at its own rate, so cache-friendly bin-3 sweeps no longer
-//!   drag the estimate used to price scattered bin-2 steals;
-//! * **adaptive drain-point batch sizing**
-//!   ([`StealConfig::adaptive_batch`]) — `batch_words` becomes only the
-//!   initial granularity; once the remaining work approaches
-//!   `drain_factor × batch_words` the scheduler halves the steal
-//!   granularity geometrically ([`drain_target`]), splitting oversized
-//!   CPU steals ([`split_batch_at`]) so the tail is dealt in slivers and
-//!   the last batch cannot strand the CPU past the GPU's finish. Only
-//!   CPU-side pops shrink: CPU cost is linear in words, whereas splitting
-//!   GPU launches would add per-launch overhead exactly when batches get
-//!   small.
+//! **Adaptive drain-point batch sizing** ([`StealConfig::adaptive_batch`],
+//! off by default) — `batch_words` becomes only the initial granularity;
+//! once the remaining work approaches `drain_factor × batch_words` the
+//! scheduler halves the steal granularity geometrically ([`drain_target`]),
+//! splitting oversized CPU steals ([`split_batch_at`]) so the tail is dealt
+//! in slivers and the last batch cannot strand the CPU past the GPU's
+//! finish. Only CPU-side pops shrink: CPU cost is linear in words, whereas
+//! splitting GPU launches would add per-launch overhead exactly when
+//! batches get small.
 
 use crate::binning::BinStats;
-use crate::calibrate::{BinRateModel, CalibrationConfig, CalibrationReport};
 use crate::cpu::extend_cpu_isolated_refs;
 use crate::gpu::pack::estimate_task_cost;
 use crate::gpu::{GpuLocalAssembler, GpuRunStats, KernelVersion};
@@ -66,27 +52,17 @@ pub struct StealConfig {
     /// [`StealConfig::adaptive_batch`] on, this is only the *initial*
     /// granularity — see [`drain_target`].
     pub batch_words: u64,
-    /// Seed for the modeled CPU-engine throughput in estimated words per
-    /// second — the virtual-clock cost of a batch on the CPU side. The
-    /// default sits a few× below the simulated V100's effective rate,
-    /// matching the paper's ~4.3× local-assembly speedup at node level.
-    /// With [`StealConfig::calibration`] enabled (the default) this is
-    /// only the starting estimate; observed batch times take over as the
-    /// run progresses. With calibration off it is the rate, full stop.
+    /// Modeled CPU-engine throughput in estimated words per second — the
+    /// virtual-clock cost of a batch on the CPU side. The default sits a
+    /// few× below the simulated V100's effective rate, matching the
+    /// paper's ~4.3× local-assembly speedup at node level.
     pub cpu_words_per_s: f64,
-    /// Double-buffer the GPU engine: pack batch N+1 on the host while the
-    /// device executes batch N (modeled as saved wall seconds in
-    /// [`GpuRunStats::overlap_saved_s`]).
-    pub double_buffer: bool,
-    /// Online rate-calibration loop (see [`crate::calibrate`]).
-    pub calibration: CalibrationConfig,
     /// Shrink steal batches geometrically as the deque approaches its
     /// drain point (remaining work within [`StealConfig::drain_factor`] ×
     /// the current granularity): an oversized popped batch is split and
     /// its remainder pushed back, so the final batches are small enough
     /// that neither engine idles behind one last coarse chunk. Off (the
-    /// default), batches are issued exactly as built — PR 4 behavior
-    /// bit-for-bit.
+    /// default), batches are issued exactly as built.
     pub adaptive_batch: bool,
     /// Drain-point threshold `k`: shrinking starts once the remaining
     /// estimated words fit within `k × granularity`, and each halving
@@ -104,8 +80,6 @@ impl Default for StealConfig {
         StealConfig {
             batch_words: 64 * 1024,
             cpu_words_per_s: 5.0e7,
-            double_buffer: true,
-            calibration: CalibrationConfig::default(),
             adaptive_batch: false,
             drain_factor: 4.0,
             min_batch_words: 1024,
@@ -269,9 +243,6 @@ pub struct ScheduleReport {
     /// batches; 0 when no batch was issued. Never 0 when batches ran —
     /// adaptive sizing cannot produce a zero-word batch.
     pub min_issued_batch_words: u64,
-    /// What the calibration loop learned (work-steal runs only; `None`
-    /// for the static split, whose shares are fixed up front).
-    pub calibration: Option<CalibrationReport>,
 }
 
 impl ScheduleReport {
@@ -373,99 +344,6 @@ pub(crate) struct StealRun {
     pub gpu_tasks: usize,
 }
 
-/// CPU-engine virtual clock with the calibration loop folded in.
-///
-/// Each finished CPU batch yields an observation `(est_words, seconds)`
-/// where `seconds` is either the measured host wall time or — when a
-/// deterministic true rate is configured — the modeled time at that rate.
-/// With calibration enabled the EWMA absorbs the observation and the clock
-/// is **rebased** to `words_done / rate`, so the schedule's view of
-/// elapsed CPU time always reflects the current estimate rather than a sum
-/// of possibly mis-seeded per-batch advances; a 10×-wrong seed is forgiven
-/// as soon as the estimate converges. With calibration off the clock
-/// advances at the constant seed rate, exactly the pre-calibration
-/// behavior.
-///
-/// With per-bin resolution on, the rebase prices each bin's words at its
-/// own bin-resolved rate — `bin2_words/rate₂ + bin3_words/rate₃` — so a
-/// clock that has mostly seen cache-friendly bin-3 sweeps does not
-/// mis-price a scattered bin-2 steal (and vice versa). A bin falls back to
-/// the pooled estimate until it has `min_bin_obs` observations.
-struct CpuClock {
-    model: BinRateModel,
-    seed: f64,
-    enabled: bool,
-    per_bin: bool,
-    true_pooled: Option<f64>,
-    true_bin2: Option<f64>,
-    true_bin3: Option<f64>,
-    clock: f64,
-    words_done: u64,
-    bin2_words: u64,
-    bin3_words: u64,
-    realized_s: f64,
-}
-
-impl CpuClock {
-    fn new(cfg: &StealConfig) -> CpuClock {
-        let cal = &cfg.calibration;
-        CpuClock {
-            model: BinRateModel::seeded(
-                cfg.cpu_words_per_s,
-                cal.alpha,
-                cal.per_bin,
-                cal.min_bin_obs.max(1),
-            ),
-            seed: cfg.cpu_words_per_s,
-            enabled: cal.enabled,
-            per_bin: cal.enabled && cal.per_bin,
-            true_pooled: cal.cpu_true_words_per_s,
-            true_bin2: cal.cpu_true_bin2_words_per_s,
-            true_bin3: cal.cpu_true_bin3_words_per_s,
-            clock: 0.0,
-            words_done: 0,
-            bin2_words: 0,
-            bin3_words: 0,
-            realized_s: 0.0,
-        }
-    }
-
-    /// The deterministic observation source for one bin, if configured:
-    /// the bin-specific true rate wins over the pooled one.
-    fn true_rate(&self, heavy: bool) -> Option<f64> {
-        let bin = if heavy { self.true_bin3 } else { self.true_bin2 };
-        bin.or(self.true_pooled)
-    }
-
-    /// Account one finished CPU batch: `est_words` of cost (from a `heavy`
-    /// = bin-3 batch or a bin-2 one) retired in `measured_s` host wall
-    /// seconds.
-    fn advance(&mut self, est_words: u64, heavy: bool, measured_s: f64) {
-        let observed_s = match self.true_rate(heavy) {
-            Some(r) => est_words as f64 / r,
-            None => measured_s,
-        };
-        self.words_done += est_words;
-        if heavy {
-            self.bin3_words += est_words;
-        } else {
-            self.bin2_words += est_words;
-        }
-        self.realized_s += observed_s.max(0.0);
-        if self.enabled {
-            self.model.observe(heavy, est_words, observed_s);
-            self.clock = if self.per_bin {
-                self.bin2_words as f64 / self.model.rate_for(false, self.seed)
-                    + self.bin3_words as f64 / self.model.rate_for(true, self.seed)
-            } else {
-                self.words_done as f64 / self.model.pooled().rate_or(self.seed)
-            };
-        } else {
-            self.clock += est_words as f64 / self.seed;
-        }
-    }
-}
-
 /// Drain the deque with two engines under virtual clocks, writing per-task
 /// outcomes into `results` (index-aligned with `tasks`).
 pub(crate) fn run_work_steal(
@@ -477,8 +355,7 @@ pub(crate) fn run_work_steal(
     cfg: &StealConfig,
     results: &mut [Option<TaskOutcome>],
 ) -> StealRun {
-    let mut engine = GpuLocalAssembler::new(device, params.clone(), version)
-        .with_double_buffer(cfg.double_buffer);
+    let mut engine = GpuLocalAssembler::new(device, params.clone(), version);
     let mut report = ScheduleReport {
         policy: "work-steal",
         batches: batches.len(),
@@ -490,14 +367,7 @@ pub(crate) fn run_work_steal(
     let mut gpu_dead = false;
     let mut fell_back = false;
     let (mut cpu_wall, mut gpu_wall) = (0.0f64, 0.0f64);
-    let mut cpu = CpuClock::new(cfg);
-    let mut gpu_model = BinRateModel::unseeded(
-        cfg.calibration.alpha,
-        cfg.calibration.per_bin,
-        cfg.calibration.min_bin_obs.max(1),
-    );
-    let mut gpu_realized = 0.0f64;
-    let mut gpu_clock = 0.0f64;
+    let (mut cpu_clock, mut gpu_clock) = (0.0f64, 0.0f64);
     let (mut cpu_tasks, mut gpu_tasks) = (0usize, 0usize);
     // The deque proper: the GPU pops the heavy head, the CPU pops the
     // light tail. With adaptive sizing on, split remainders are pushed
@@ -511,7 +381,7 @@ pub(crate) fn run_work_steal(
         // The engine whose virtual clock is behind takes the next batch;
         // the GPU from the heavy head, the CPU from the light tail. Ties go
         // to the GPU (the paper launches the GPU first).
-        let gpu_turn = !gpu_dead && gpu_clock <= cpu.clock;
+        let gpu_turn = !gpu_dead && gpu_clock <= cpu_clock;
         let popped = if gpu_turn { deque.pop_front() } else { deque.pop_back() };
         let Some(mut batch) = popped else { break };
         // Adaptive sizing shrinks *steal* batches only: CPU cost is linear
@@ -542,8 +412,6 @@ pub(crate) fn run_work_steal(
                         results[i] = Some(outcome);
                     }
                     gpu_clock += stats.wall_s();
-                    gpu_realized += stats.wall_s().max(0.0);
-                    gpu_model.observe(batch.heavy, batch.est_words, stats.wall_s());
                     if stats.recovery.device_lost {
                         // Reset budget exhausted: route the rest of the
                         // deque to the CPU instead of the per-task fallback.
@@ -564,45 +432,21 @@ pub(crate) fn run_work_steal(
                     // deque drains CPU-side from here on.
                     gpu_dead = true;
                     fell_back = true;
-                    let s = run_batch_cpu(tasks, &batch, params, results, &mut report);
-                    cpu_wall += s;
-                    cpu.advance(batch.est_words, batch.heavy, s);
+                    cpu_wall += run_batch_cpu(tasks, &batch, params, results, &mut report);
+                    cpu_clock += batch.est_words as f64 / cfg.cpu_words_per_s;
                     cpu_tasks += batch.idx.len();
                 }
             }
         } else {
-            let s = run_batch_cpu(tasks, &batch, params, results, &mut report);
-            cpu_wall += s;
-            cpu.advance(batch.est_words, batch.heavy, s);
+            cpu_wall += run_batch_cpu(tasks, &batch, params, results, &mut report);
+            cpu_clock += batch.est_words as f64 / cfg.cpu_words_per_s;
             cpu_tasks += batch.idx.len();
         }
     }
 
-    report.cpu_model_s = cpu.clock;
+    report.cpu_model_s = cpu_clock;
     report.gpu_model_s = gpu_clock;
     report.min_issued_batch_words = min_issued.unwrap_or(0);
-    let realized = cpu.realized_s.max(gpu_realized);
-    let model = report.makespan_model_s();
-    report.calibration = Some(CalibrationReport {
-        enabled: cpu.enabled,
-        per_bin: cpu.per_bin,
-        cpu_seed_words_per_s: cpu.seed,
-        cpu_words_per_s: cpu.model.pooled().rate_or(cpu.seed),
-        gpu_words_per_s: gpu_model.pooled().rate_or(0.0),
-        cpu_updates: cpu.model.pooled().updates(),
-        gpu_updates: gpu_model.pooled().updates(),
-        cpu_bin2_words_per_s: cpu.model.bin(false).rate_or(0.0),
-        cpu_bin3_words_per_s: cpu.model.bin(true).rate_or(0.0),
-        cpu_bin2_updates: cpu.model.bin(false).updates(),
-        cpu_bin3_updates: cpu.model.bin(true).updates(),
-        gpu_bin2_words_per_s: gpu_model.bin(false).rate_or(0.0),
-        gpu_bin3_words_per_s: gpu_model.bin(true).rate_or(0.0),
-        gpu_bin2_updates: gpu_model.bin(false).updates(),
-        gpu_bin3_updates: gpu_model.bin(true).updates(),
-        cpu_realized_s: cpu.realized_s,
-        gpu_realized_s: gpu_realized,
-        rel_err_vs_realized: if realized > 0.0 { (model - realized).abs() / realized } else { 0.0 },
-    });
     StealRun {
         report,
         gpu_stats: gpu_ran.then_some(gpu_stats),
@@ -615,7 +459,7 @@ pub(crate) fn run_work_steal(
 }
 
 /// Run one batch on the CPU engine; returns its measured host wall
-/// seconds (the calibration loop's fallback observation source).
+/// seconds.
 fn run_batch_cpu(
     tasks: &[ExtTask],
     batch: &TaskBatch,
@@ -699,75 +543,6 @@ mod tests {
             (min as f64) > 0.5 * max as f64,
             "light batch totals must be comparable: min {min} vs max {max}"
         );
-    }
-
-    #[test]
-    fn cpu_clock_rebases_after_convergence_but_constant_when_off() {
-        // Seeded 10× too slow against a deterministic true rate: the
-        // calibrated clock must end near words/true_rate (the mis-seed is
-        // rebased away), while the uncalibrated clock stays at the seed's
-        // reading for the same batches.
-        let mk = |enabled: bool| StealConfig {
-            cpu_words_per_s: 1.0e3,
-            calibration: CalibrationConfig {
-                enabled,
-                cpu_true_words_per_s: Some(1.0e4),
-                ..Default::default()
-            },
-            ..Default::default()
-        };
-        let (mut on, mut off) = (CpuClock::new(&mk(true)), CpuClock::new(&mk(false)));
-        for _ in 0..10 {
-            on.advance(1_000, false, f64::NAN); // measured wall unused: true rate set
-            off.advance(1_000, false, f64::NAN);
-        }
-        let oracle = 10_000.0 / 1.0e4; // 1.0 s of true CPU time
-        assert!((off.clock - 10.0).abs() < 1e-9, "constant seed clock: {}", off.clock);
-        assert!(
-            (on.clock - oracle).abs() / oracle < 0.01,
-            "rebased clock must track the converged rate: {} vs {oracle}",
-            on.clock
-        );
-        assert_eq!(on.model.pooled().updates(), 10);
-        assert_eq!(on.realized_s, off.realized_s, "realized time is belief-independent");
-    }
-
-    #[test]
-    fn per_bin_clock_prices_each_bin_at_its_own_rate() {
-        // True rates: bin 2 at 1e3 words/s, bin 3 at 4e3 words/s. The
-        // pooled clock mixes them; the per-bin clock must converge to the
-        // exact per-bin sum once both bins pass min_bin_obs.
-        let mk = |per_bin: bool| StealConfig {
-            cpu_words_per_s: 2.0e3,
-            calibration: CalibrationConfig {
-                per_bin,
-                min_bin_obs: 1,
-                cpu_true_bin2_words_per_s: Some(1.0e3),
-                cpu_true_bin3_words_per_s: Some(4.0e3),
-                ..Default::default()
-            },
-            ..Default::default()
-        };
-        let (mut per, mut pooled) = (CpuClock::new(&mk(true)), CpuClock::new(&mk(false)));
-        for _ in 0..6 {
-            per.advance(1_000, false, f64::NAN);
-            per.advance(1_000, true, f64::NAN);
-            pooled.advance(1_000, false, f64::NAN);
-            pooled.advance(1_000, true, f64::NAN);
-        }
-        // 6k bin-2 words at 1e3 = 6 s, 6k bin-3 words at 4e3 = 1.5 s.
-        let oracle = 6.0 + 1.5;
-        assert!(
-            (per.clock - oracle).abs() / oracle < 1e-9,
-            "per-bin clock must be exact: {} vs {oracle}",
-            per.clock
-        );
-        assert!(
-            (pooled.clock - oracle).abs() / oracle > 0.05,
-            "pooled clock must conflate the two rates: {} vs {oracle}",
-            pooled.clock
-        );
-        assert_eq!(per.realized_s, pooled.realized_s, "realized time is belief-independent");
     }
 
     #[test]

@@ -2,13 +2,13 @@
 //! FASTQ files on disk.
 //!
 //! Argument parsing is hand-rolled (no CLI dependency): subcommand followed
-//! by `--flag value` pairs and boolean `--flag`s. The heavy lifting lives
-//! in [`run_simulate`] / [`run_assemble`], which are plain functions over a
-//! parsed [`CliArgs`] so the test suite can drive them against temporary
-//! directories.
+//! by `--flag value` pairs and boolean `--flag`s; a flag the subcommand does
+//! not know is an error. The heavy lifting lives in [`run_simulate`] /
+//! [`run_assemble`], which are plain functions over a parsed [`CliArgs`] so
+//! the test suite can drive them against temporary directories.
 
 use crate::iterative::{default_schedule, run_iterative};
-use crate::pipeline::{EngineChoice, PipelineConfig};
+use crate::pipeline::{EngineChoice, Phase, PipelineConfig};
 use crate::report::{render_breakdown, render_overlap, render_recovery, render_sanitizer};
 use crate::stats::{evaluate_against_refs, AssemblyStats};
 use bioseq::fastq::{self, NPolicy};
@@ -20,6 +20,7 @@ use std::collections::HashMap;
 use std::fs::File;
 use std::io::{BufReader, BufWriter, Write};
 use std::path::{Path, PathBuf};
+use std::time::Instant;
 
 /// Parsed command line.
 #[derive(Debug, Clone, Default)]
@@ -29,15 +30,39 @@ pub struct CliArgs {
     switches: Vec<String>,
 }
 
+/// The flags each subcommand accepts, value flags and switches alike.
+const SUBCOMMAND_FLAGS: [(&str, &[&str]); 2] = [
+    ("simulate", &["out", "preset", "scale"]),
+    (
+        "assemble",
+        &[
+            "r1",
+            "r2",
+            "out",
+            "k",
+            "gpu",
+            "kernel",
+            "iterative",
+            "refs",
+            "sanitize",
+            "overlap",
+            "cpu-bin2-fraction",
+            "adaptive-batch",
+        ],
+    ),
+];
+
 impl CliArgs {
     /// Parse `argv[1..]`: first token is the subcommand, then `--key value`
-    /// pairs and bare `--switch`es.
+    /// pairs and bare `--switch`es. A flag the subcommand does not accept
+    /// is an error (an unknown subcommand is left for [`run`] to report).
     pub fn parse(args: &[String]) -> Result<CliArgs, String> {
         let mut it = args.iter();
         let subcommand = it.next().ok_or("missing subcommand")?.clone();
         if subcommand.starts_with("--") {
             return Err(format!("expected subcommand, got flag {subcommand}"));
         }
+        let accepted = SUBCOMMAND_FLAGS.iter().find(|(c, _)| *c == subcommand).map(|(_, f)| *f);
         let mut flags = HashMap::new();
         let mut switches = Vec::new();
         let rest: Vec<&String> = it.collect();
@@ -46,6 +71,9 @@ impl CliArgs {
             let tok = rest[i];
             let key =
                 tok.strip_prefix("--").ok_or_else(|| format!("expected --flag, got {tok}"))?;
+            if accepted.is_some_and(|a| !a.contains(&key)) {
+                return Err(format!("unknown flag {tok}"));
+            }
             if i + 1 < rest.len() && !rest[i + 1].starts_with("--") {
                 flags.insert(key.to_string(), rest[i + 1].clone());
                 i += 2;
@@ -91,8 +119,7 @@ USAGE:
 
   mhm2rs assemble --r1 FILE --r2 FILE --out DIR
       [--k N] [--gpu] [--kernel v1|v2] [--iterative] [--refs FILE] [--sanitize]
-      [--overlap] [--cpu-bin2-fraction F] [--calibrate] [--cpu-words-per-s R]
-      [--per-bin-rates] [--adaptive-batch]
+      [--overlap] [--cpu-bin2-fraction F] [--adaptive-batch]
       Assemble paired FASTQ into contigs.fasta + scaffolds.fasta.
       --k N is the contig-generation k (default 31): odd, 15..=127.
       --sanitize runs the GPU engine under gpucheck (memcheck + racecheck +
@@ -101,16 +128,9 @@ USAGE:
       work-stealing scheduler; --cpu-bin2-fraction F switches it to the
       static split keeping fraction F of bin-2 tasks on the CPU (implies
       --overlap; F must be in [0,1]).
-      --cpu-words-per-s R pins the scheduler's CPU-throughput model to R
-      words/s and turns the online rate calibration OFF — R is an explicit
-      override, trusted as-is. Add --calibrate to use R only as the seed
-      and let observed batch times take over.
-      --per-bin-rates resolves the calibrated rates per bin (bin-2 vs
-      bin-3 estimators with the pooled EWMA as prior; implies --calibrate).
       --adaptive-batch shrinks steal batches geometrically near the drain
-      point so the last batch cannot strand an engine idle.
-      Any of these scheduler flags implies --overlap; all conflict with
-      --cpu-bin2-fraction (the static split has no rate model or deque).
+      point so the last batch cannot strand an engine idle (implies
+      --overlap; conflicts with --cpu-bin2-fraction).
 ";
 
 /// Entry point shared by main() and the tests.
@@ -170,34 +190,13 @@ pub fn run_assemble(cli: &CliArgs) -> Result<String, String> {
     let pairs = fastq::pair_up(r1, r2).map_err(|e| e.to_string())?;
 
     let sanitize = cli.has("sanitize");
-    let calibrate = cli.has("calibrate");
-    let rate_override = match cli.get("cpu-words-per-s") {
-        None => None,
-        Some(v) => {
-            let rate: f64 =
-                v.parse().map_err(|_| format!("--cpu-words-per-s: cannot parse {v:?}"))?;
-            if !rate.is_finite() || rate <= 0.0 {
-                return Err(format!("--cpu-words-per-s must be a positive rate, got {rate}"));
-            }
-            Some(rate)
-        }
-    };
-    let per_bin = cli.has("per-bin-rates");
     let adaptive = cli.has("adaptive-batch");
-    if (calibrate || rate_override.is_some() || per_bin || adaptive)
-        && cli.get("cpu-bin2-fraction").is_some()
-    {
-        return Err("--calibrate/--cpu-words-per-s/--per-bin-rates/--adaptive-batch need the \
-             work-stealing scheduler and cannot be combined with the static \
-             --cpu-bin2-fraction split"
+    if adaptive && cli.get("cpu-bin2-fraction").is_some() {
+        return Err("--adaptive-batch needs the work-stealing scheduler and cannot be combined \
+             with the static --cpu-bin2-fraction split"
             .to_string());
     }
-    let overlap = cli.has("overlap")
-        || cli.get("cpu-bin2-fraction").is_some()
-        || calibrate
-        || rate_override.is_some()
-        || per_bin
-        || adaptive;
+    let overlap = cli.has("overlap") || cli.get("cpu-bin2-fraction").is_some() || adaptive;
     if sanitize || overlap || cli.has("gpu") || cli.get("kernel").is_some() {
         let version = match cli.get("kernel").unwrap_or("v2") {
             "v1" => KernelVersion::V1,
@@ -219,25 +218,10 @@ pub fn run_assemble(cli: &CliArgs) -> Result<String, String> {
                     }
                     locassm::SchedulePolicy::Static { cpu_bin2_fraction: frac }
                 }
-                None => {
-                    let mut steal = locassm::StealConfig::default();
-                    if let Some(rate) = rate_override {
-                        steal.cpu_words_per_s = rate;
-                        // An explicit rate is a statement of fact: hold it
-                        // unless the user also asked for the feedback loop
-                        // (--per-bin-rates implies it — per-bin resolution
-                        // is meaningless without observations).
-                        if !calibrate && !per_bin {
-                            steal.calibration = locassm::CalibrationConfig::off();
-                        }
-                    }
-                    if per_bin {
-                        steal.calibration.enabled = true;
-                        steal.calibration.per_bin = true;
-                    }
-                    steal.adaptive_batch = adaptive;
-                    locassm::SchedulePolicy::WorkSteal(steal)
-                }
+                None => locassm::SchedulePolicy::WorkSteal(locassm::StealConfig {
+                    adaptive_batch: adaptive,
+                    ..Default::default()
+                }),
             };
             EngineChoice::Overlap { device, version, schedule }
         } else {
@@ -258,6 +242,14 @@ pub fn run_assemble(cli: &CliArgs) -> Result<String, String> {
     result.stats.merge.malformed_skipped = ingest_malformed;
     result.stats.merge.ambiguous_dropped = ingest_ambiguous;
 
+    // File I/O: render the scaffolds and write both FASTA files, once.
+    let t = Instant::now();
+    let contigs = &result.contigs;
+    let scaffolds: Vec<DnaSeq> = result.scaffolds.iter().map(|s| s.render(contigs)).collect();
+    write_fasta_file(&out.join("contigs.fasta"), "contig", contigs)?;
+    write_fasta_file(&out.join("scaffolds.fasta"), "scaffold", &scaffolds)?;
+    result.timings.add(Phase::FileIo, t.elapsed().as_secs_f64());
+
     let mut report = String::new();
     let mut title = "pipeline";
     if result.stats.rounds.len() > 1 {
@@ -276,10 +268,8 @@ pub fn run_assemble(cli: &CliArgs) -> Result<String, String> {
     }
     report.push_str(&render_overlap(&result.stats));
     report.push_str(&render_sanitizer(&result.stats));
-    let contigs = result.contigs;
-    let scaffolds: Vec<DnaSeq> = result.scaffolds.iter().map(|s| s.render(&contigs)).collect();
 
-    let stats = AssemblyStats::of(&contigs);
+    let stats = AssemblyStats::of(contigs);
     report.push_str(&format!("\ncontigs:   {}\n", stats.render()));
     let sstats = AssemblyStats::of(&scaffolds);
     report.push_str(&format!("scaffolds: {}\n", sstats.render()));
@@ -289,7 +279,7 @@ pub fn run_assemble(cli: &CliArgs) -> Result<String, String> {
         let (refs, _) =
             fastq::parse_fasta(BufReader::new(f), NPolicy::Drop).map_err(|e| e.to_string())?;
         let ref_seqs: Vec<DnaSeq> = refs.into_iter().map(|(_, s)| s).collect();
-        let eval = evaluate_against_refs(&contigs, &ref_seqs, 31.min(cfg.k));
+        let eval = evaluate_against_refs(contigs, &ref_seqs, 31.min(cfg.k));
         report.push_str(&format!(
             "vs refs:   genome fraction {:.1}%, precision {:.1}% (k={})\n",
             eval.genome_fraction * 100.0,
@@ -298,22 +288,15 @@ pub fn run_assemble(cli: &CliArgs) -> Result<String, String> {
         ));
     }
 
-    let f = File::create(out.join("contigs.fasta")).map_err(|e| e.to_string())?;
-    fastq::write_fasta(
-        BufWriter::new(f),
-        contigs.iter().enumerate().map(|(i, c)| (format!("contig_{i}"), c.clone())),
-        80,
-    )
-    .map_err(|e| e.to_string())?;
-    let f = File::create(out.join("scaffolds.fasta")).map_err(|e| e.to_string())?;
-    fastq::write_fasta(
-        BufWriter::new(f),
-        scaffolds.iter().enumerate().map(|(i, s)| (format!("scaffold_{i}"), s.clone())),
-        80,
-    )
-    .map_err(|e| e.to_string())?;
-
     Ok(report)
+}
+
+/// Write `seqs` as 80-column FASTA records named `{prefix}_{i}`.
+fn write_fasta_file(path: &Path, prefix: &str, seqs: &[DnaSeq]) -> Result<(), String> {
+    let mut w = BufWriter::new(File::create(path).map_err(|e| e.to_string())?);
+    let records = seqs.iter().enumerate().map(|(i, s)| (format!("{prefix}_{i}"), s.clone()));
+    fastq::write_fasta(&mut w, records, 80).map_err(|e| e.to_string())?;
+    w.flush().map_err(|e| e.to_string())
 }
 
 fn write_fastq_file(path: &Path, reads: &[bioseq::Read]) -> Result<(), String> {
@@ -519,8 +502,8 @@ mod tests {
     }
 
     #[test]
-    fn calibration_flags_drive_the_scheduler() {
-        let dir = std::env::temp_dir().join(format!("mhm2rs_calibrate_{}", std::process::id()));
+    fn adaptive_flag_drives_the_scheduler() {
+        let dir = std::env::temp_dir().join(format!("mhm2rs_adaptive_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let out = dir.to_string_lossy().to_string();
         run(&argv(&format!("simulate --out {out} --preset arctic --scale 0.01")))
@@ -531,85 +514,6 @@ mod tests {
         )))
         .expect("cpu assemble");
         let cpu = std::fs::read_to_string(dir.join("asm/contigs.fasta")).unwrap();
-
-        // --cpu-words-per-s alone: implies --overlap, pins the rate, and
-        // switches calibration OFF. Contigs stay byte-identical.
-        let report = run(&argv(&format!(
-            "assemble --r1 {out}/reads_1.fastq --r2 {out}/reads_2.fastq --out {out}/asm_pin \
-             --cpu-words-per-s 1e6"
-        )))
-        .expect("pinned-rate assemble");
-        assert!(report.contains("overlap scheduler (work-steal)"), "{report}");
-        assert!(report.contains("off (seed rate held)"), "{report}");
-        assert!(report.contains("seed 1.000e6"), "{report}");
-        let pinned = std::fs::read_to_string(dir.join("asm_pin/contigs.fasta")).unwrap();
-        assert_eq!(cpu, pinned);
-
-        // --calibrate on top: the same rate becomes only the seed.
-        let report = run(&argv(&format!(
-            "assemble --r1 {out}/reads_1.fastq --r2 {out}/reads_2.fastq --out {out}/asm_cal \
-             --cpu-words-per-s 1e6 --calibrate"
-        )))
-        .expect("calibrated assemble");
-        assert!(report.contains("on (EWMA feedback)"), "{report}");
-        let cal = std::fs::read_to_string(dir.join("asm_cal/contigs.fasta")).unwrap();
-        assert_eq!(cpu, cal);
-
-        // Bad rates and the static-split conflict are rejected up front.
-        for bad in ["0", "-5", "nan", "inf", "squid"] {
-            let err = run(&argv(&format!(
-                "assemble --r1 {out}/reads_1.fastq --r2 {out}/reads_2.fastq \
-                 --out {out}/asm_bad --cpu-words-per-s {bad}"
-            )))
-            .expect_err("bad rate must be rejected");
-            assert!(err.contains("cpu-words-per-s"), "{bad}: {err}");
-        }
-        let err = run(&argv(&format!(
-            "assemble --r1 {out}/reads_1.fastq --r2 {out}/reads_2.fastq --out {out}/asm_bad \
-             --calibrate --cpu-bin2-fraction 0.5"
-        )))
-        .expect_err("static split has no rate model");
-        assert!(err.contains("static"), "{err}");
-
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn per_bin_and_adaptive_flags_drive_the_scheduler() {
-        let dir = std::env::temp_dir().join(format!("mhm2rs_perbin_{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let out = dir.to_string_lossy().to_string();
-        run(&argv(&format!("simulate --out {out} --preset arctic --scale 0.01")))
-            .expect("simulate");
-
-        run(&argv(&format!(
-            "assemble --r1 {out}/reads_1.fastq --r2 {out}/reads_2.fastq --out {out}/asm"
-        )))
-        .expect("cpu assemble");
-        let cpu = std::fs::read_to_string(dir.join("asm/contigs.fasta")).unwrap();
-
-        // --per-bin-rates alone: implies --overlap and --calibrate; the
-        // report shows bin-resolved pricing; contigs stay byte-identical.
-        let report = run(&argv(&format!(
-            "assemble --r1 {out}/reads_1.fastq --r2 {out}/reads_2.fastq --out {out}/asm_pb \
-             --per-bin-rates"
-        )))
-        .expect("per-bin assemble");
-        assert!(report.contains("overlap scheduler (work-steal)"), "{report}");
-        assert!(report.contains("on (EWMA feedback)"), "{report}");
-        assert!(report.contains("per-bin rates"), "{report}");
-        let pb = std::fs::read_to_string(dir.join("asm_pb/contigs.fasta")).unwrap();
-        assert_eq!(cpu, pb);
-
-        // --per-bin-rates with a pinned rate: the override seeds the model
-        // but per-bin resolution forces the feedback loop back on.
-        let report = run(&argv(&format!(
-            "assemble --r1 {out}/reads_1.fastq --r2 {out}/reads_2.fastq --out {out}/asm_pbr \
-             --per-bin-rates --cpu-words-per-s 1e6"
-        )))
-        .expect("per-bin + pinned-seed assemble");
-        assert!(report.contains("on (EWMA feedback)"), "{report}");
-        assert!(report.contains("seed 1.000e6"), "{report}");
 
         // --adaptive-batch: implies --overlap; the report carries the
         // drain-split line; contigs stay byte-identical.
@@ -623,17 +527,42 @@ mod tests {
         let ab = std::fs::read_to_string(dir.join("asm_ab/contigs.fasta")).unwrap();
         assert_eq!(cpu, ab);
 
-        // Both conflict with the static split.
-        for flag in ["--per-bin-rates", "--adaptive-batch"] {
-            let err = run(&argv(&format!(
-                "assemble --r1 {out}/reads_1.fastq --r2 {out}/reads_2.fastq \
-                 --out {out}/asm_bad {flag} --cpu-bin2-fraction 0.5"
-            )))
-            .expect_err("static split conflict must be rejected");
-            assert!(err.contains("static"), "{flag}: {err}");
-        }
+        // It conflicts with the static split.
+        let err = run(&argv(&format!(
+            "assemble --r1 {out}/reads_1.fastq --r2 {out}/reads_2.fastq \
+             --out {out}/asm_bad --adaptive-batch --cpu-bin2-fraction 0.5"
+        )))
+        .expect_err("static split conflict must be rejected");
+        assert!(err.contains("static"), "{err}");
 
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The `--word`s of USAGE's section for `cmd`, sorted and deduplicated.
+    fn usage_flags(cmd: &str) -> Vec<&'static str> {
+        let start = USAGE.find(&format!("mhm2rs {cmd} ")).expect("subcommand in USAGE");
+        let section = &USAGE[start..];
+        let end = section[1..].find("\n  mhm2rs ").map_or(section.len(), |e| e + 1);
+        let mut flags: Vec<&str> = section[..end]
+            .split(|c: char| !(c.is_ascii_alphanumeric() || c == '-'))
+            .filter_map(|w| w.strip_prefix("--"))
+            .collect();
+        flags.sort_unstable();
+        flags.dedup();
+        flags
+    }
+
+    #[test]
+    fn usage_lists_exactly_the_accepted_flags() {
+        for (cmd, accepted) in SUBCOMMAND_FLAGS {
+            let mut accepted = accepted.to_vec();
+            accepted.sort_unstable();
+            assert_eq!(usage_flags(cmd), accepted, "USAGE vs parser for {cmd}");
+            for flag in accepted {
+                let args = argv(&format!("{cmd} --{flag} v"));
+                assert!(CliArgs::parse(&args).is_ok(), "{cmd} must accept --{flag}");
+            }
+        }
     }
 
     #[test]

@@ -8,9 +8,9 @@
 //! large k resolves repeats the small rounds forked on. k-mer analysis,
 //! contig generation, alignment, SW rescoring and local assembly run inside
 //! every round, exactly as in the paper's pipeline diagram; merging runs
-//! once before the loop, scaffolding and serialization once after it. A
-//! single-k run ([`run_pipeline`](crate::pipeline::run_pipeline)) is this
-//! loop with one round.
+//! once before the loop, scaffolding once after it. A single-k run
+//! ([`run_pipeline`](crate::pipeline::run_pipeline)) is this loop with one
+//! round.
 
 use crate::errors::{ConfigError, PipelineError};
 use crate::merge::merge_reads;
@@ -132,17 +132,6 @@ pub fn run_iterative(
     let scaffolds = scaffold_contigs(&contigs, pairs, &cfg.scaffold);
     stats.scaffolds = scaffolds.len();
     timings.add(Phase::Scaffolding, t.elapsed().as_secs_f64());
-
-    // File I/O: serialize to an in-memory sink; callers persist if they
-    // want a file — the cost is the serialization itself.
-    let t = Instant::now();
-    let mut sink = Vec::new();
-    let records =
-        scaffolds.iter().enumerate().map(|(i, s)| (format!("scaffold_{i}"), s.render(&contigs)));
-    bioseq::fastq::write_fasta(&mut sink, records, 80)
-        .map_err(|e| PipelineError::io(Phase::FileIo, e))?;
-    stats.fasta_bytes = sink.len();
-    timings.add(Phase::FileIo, t.elapsed().as_secs_f64());
 
     Ok(PipelineResult { contigs, scaffolds, timings, stats })
 }

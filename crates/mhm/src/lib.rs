@@ -10,7 +10,8 @@
 //!    read sets; the banded-SW rescoring pass is the "aln kernel" slice;
 //! 5. **local assembly** (`locassm`) — CPU or simulated-GPU engine;
 //! 6. **scaffolding** ([`scaffold`]) — read-pair links join contigs;
-//! 7. **file I/O** — FASTA serialization.
+//! 7. **file I/O** — FASTA serialization (timed by the CLI, which writes
+//!    the files).
 //!
 //! Phases 2–5 run once per k of the schedule in one round loop,
 //! [`iterative::run_iterative`]; [`pipeline::run_pipeline`] is that loop

@@ -185,7 +185,9 @@ pub struct PipelineResult {
     /// ([`GpuRunStats::wall_s`]: kernel plus pack minus hidden pack) on the
     /// GPU engine, and the makespan `max(CPU host wall, GPU wall_s)` on the
     /// overlap engine. The host wall of local assembly on every engine is
-    /// `stats.la_wall_seconds`.
+    /// `stats.la_wall_seconds`. The run writes no files, so
+    /// [`Phase::FileIo`] is left for the caller that does (the CLI times
+    /// its FASTA writes there).
     pub timings: PhaseTimings,
     pub stats: PipelineStats,
 }
@@ -234,7 +236,6 @@ pub struct PipelineStats {
     /// One record per k of the schedule, in order.
     pub rounds: Vec<RoundStats>,
     pub scaffolds: usize,
-    pub fasta_bytes: usize,
 }
 
 /// One round of the k loop.

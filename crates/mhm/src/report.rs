@@ -129,62 +129,6 @@ fn render_schedule(sched: &ScheduleReport, gpu: Option<&GpuRunStats>, suffix: &s
     if sched.makespan_model_s() > 0.0 {
         line("model makespan", format!("{:.6} s", sched.makespan_model_s()));
     }
-    if let Some(cal) = &sched.calibration {
-        line(
-            "calibration",
-            if cal.enabled { "on (EWMA feedback)" } else { "off (seed rate held)" }.to_string(),
-        );
-        line(
-            "cpu rate (words/s)",
-            format!(
-                "seed {:.3e} -> {:.3e} ({} updates)",
-                cal.cpu_seed_words_per_s, cal.cpu_words_per_s, cal.cpu_updates
-            ),
-        );
-        if cal.gpu_updates > 0 {
-            line(
-                "gpu rate (words/s)",
-                format!("{:.3e} ({} updates)", cal.gpu_words_per_s, cal.gpu_updates),
-            );
-        }
-        if cal.per_bin {
-            line("per-bin rates", "on (bin-resolved clock pricing)".to_string());
-            if cal.cpu_bin2_updates > 0 {
-                line(
-                    "cpu bin-2 rate",
-                    format!("{:.3e} ({} updates)", cal.cpu_bin2_words_per_s, cal.cpu_bin2_updates),
-                );
-            }
-            if cal.cpu_bin3_updates > 0 {
-                line(
-                    "cpu bin-3 rate",
-                    format!("{:.3e} ({} updates)", cal.cpu_bin3_words_per_s, cal.cpu_bin3_updates),
-                );
-            }
-            if cal.gpu_bin2_updates > 0 {
-                line(
-                    "gpu bin-2 rate",
-                    format!("{:.3e} ({} updates)", cal.gpu_bin2_words_per_s, cal.gpu_bin2_updates),
-                );
-            }
-            if cal.gpu_bin3_updates > 0 {
-                line(
-                    "gpu bin-3 rate",
-                    format!("{:.3e} ({} updates)", cal.gpu_bin3_words_per_s, cal.gpu_bin3_updates),
-                );
-            }
-        }
-        if cal.realized_makespan_s() > 0.0 {
-            line(
-                "realized makespan",
-                format!(
-                    "{:.6} s (model err {:.1}%)",
-                    cal.realized_makespan_s(),
-                    100.0 * cal.rel_err_vs_realized
-                ),
-            );
-        }
-    }
     if let Some(gpu) = gpu {
         if gpu.pack_s > 0.0 {
             line(
@@ -311,54 +255,7 @@ mod tests {
     }
 
     #[test]
-    fn overlap_section_reports_calibration() {
-        let stats = PipelineStats {
-            overlap: Some(locassm::ScheduleReport {
-                policy: "work-steal",
-                batches: 4,
-                gpu_batches: 2,
-                cpu_batches: 2,
-                cpu_est_words: 500,
-                gpu_est_words: 500,
-                calibration: Some(locassm::CalibrationReport {
-                    enabled: true,
-                    cpu_seed_words_per_s: 1.0e6,
-                    cpu_words_per_s: 4.2e6,
-                    gpu_words_per_s: 9.0e6,
-                    cpu_updates: 7,
-                    gpu_updates: 3,
-                    cpu_realized_s: 0.25,
-                    gpu_realized_s: 0.75,
-                    rel_err_vs_realized: 0.05,
-                    ..Default::default()
-                }),
-                ..Default::default()
-            }),
-            ..Default::default()
-        };
-        let s = render_overlap(&stats);
-        assert!(s.contains("on (EWMA feedback)"), "{s}");
-        assert!(s.contains("1.000e6 -> 4.200e6 (7 updates)"), "{s}");
-        assert!(s.contains("9.000e6 (3 updates)"), "{s}");
-        assert!(s.contains("0.750000 s (model err 5.0%)"), "{s}");
-
-        // Calibration off: the section says so and hides unfired parts.
-        let mut off = stats;
-        if let Some(sched) = &mut off.overlap {
-            let cal = sched.calibration.as_mut().unwrap();
-            cal.enabled = false;
-            cal.gpu_updates = 0;
-            cal.cpu_realized_s = 0.0;
-            cal.gpu_realized_s = 0.0;
-        }
-        let s = render_overlap(&off);
-        assert!(s.contains("off (seed rate held)"), "{s}");
-        assert!(!s.contains("gpu rate"), "{s}");
-        assert!(!s.contains("realized makespan"), "{s}");
-    }
-
-    #[test]
-    fn overlap_section_reports_per_bin_and_adaptive() {
+    fn overlap_section_reports_adaptive_batches() {
         let stats = PipelineStats {
             overlap: Some(locassm::ScheduleReport {
                 policy: "work-steal",
@@ -370,45 +267,20 @@ mod tests {
                 adaptive_batch: true,
                 drain_splits: 2,
                 min_issued_batch_words: 128,
-                calibration: Some(locassm::CalibrationReport {
-                    enabled: true,
-                    per_bin: true,
-                    cpu_seed_words_per_s: 1.0e6,
-                    cpu_words_per_s: 2.0e6,
-                    cpu_updates: 5,
-                    cpu_bin2_words_per_s: 1.5e6,
-                    cpu_bin2_updates: 3,
-                    cpu_bin3_words_per_s: 6.0e6,
-                    cpu_bin3_updates: 2,
-                    gpu_words_per_s: 9.0e6,
-                    gpu_updates: 5,
-                    gpu_bin3_words_per_s: 9.5e6,
-                    gpu_bin3_updates: 5,
-                    ..Default::default()
-                }),
                 ..Default::default()
             }),
             ..Default::default()
         };
         let s = render_overlap(&stats);
         assert!(s.contains("2 drain splits, min issued 128 w"), "{s}");
-        assert!(s.contains("per-bin rates"), "{s}");
-        assert!(s.contains("cpu bin-2 rate"), "{s}");
-        assert!(s.contains("1.500e6 (3 updates)"), "{s}");
-        assert!(s.contains("cpu bin-3 rate"), "{s}");
-        assert!(s.contains("gpu bin-3 rate"), "{s}");
-        assert!(!s.contains("gpu bin-2 rate"), "unfired bins stay silent: {s}");
 
-        // Per-bin off, adaptive off: the new lines vanish entirely.
+        // Adaptive sizing off: the line vanishes entirely.
         let mut off = stats;
         if let Some(sched) = &mut off.overlap {
             sched.adaptive_batch = false;
-            sched.calibration.as_mut().unwrap().per_bin = false;
         }
         let s = render_overlap(&off);
         assert!(!s.contains("adaptive batches"), "{s}");
-        assert!(!s.contains("per-bin rates"), "{s}");
-        assert!(!s.contains("bin-2 rate"), "{s}");
     }
 
     #[test]

@@ -5,17 +5,16 @@
 //! by work stealing, or mid-flight after an injected fault — the extension
 //! results must be byte-identical to the pure-CPU reference, in task order.
 //! These tests drive that contract across randomized task mixes and fault
-//! plans, and pin the two load-balance claims: LPT striping must balance a
-//! skew that defeats round-robin, and the static bin-2 split must deal
-//! sizes instead of cutting a prefix.
+//! plans, pin the static bin-2 split's size-interleaved deal, and check
+//! that the schedule itself is a pure function of its inputs.
 
 use bioseq::{DnaSeq, Read};
 use gpusim::{DeviceConfig, Fault, FaultPlan};
 use locassm::gpu::pack::{estimate_task_cost, estimate_task_words};
-use locassm::gpu::{KernelVersion, MultiGpuAssembler, StripePolicy};
+use locassm::gpu::KernelVersion;
 use locassm::{
-    bin_tasks, build_batches, extend_all_cpu, CalibrationConfig, ContigEnd, ExtTask,
-    LocalAssemblyParams, OverlapDriver, SchedulePolicy, StealConfig,
+    bin_tasks, build_batches, extend_all_cpu, ContigEnd, ExtTask, LocalAssemblyParams,
+    OverlapDriver, SchedulePolicy, StealConfig,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -126,36 +125,6 @@ proptest! {
     }
 }
 
-/// The multi-GPU LPT restripe must balance a size skew that round-robin
-/// cannot: heavies sit at stride `n_devices`, so `i % n` piles them all on
-/// device 0 while LPT spreads them by estimated words.
-#[test]
-fn lpt_striping_balances_skew_that_defeats_round_robin() {
-    const N_DEVICES: usize = 4;
-    let counts: Vec<usize> =
-        (0..64).map(|i| if i % N_DEVICES == 0 { 18 + i % 5 } else { 1 + (i % 8) }).collect();
-    let tasks = tasks_from_counts(&counts, 99);
-    let params = LocalAssemblyParams::for_tests();
-    let reference = extend_all_cpu(&tasks, &params);
-
-    let balance_of = |policy: StripePolicy| {
-        let multi = MultiGpuAssembler::new(
-            DeviceConfig::tiny(),
-            params.clone(),
-            KernelVersion::V2,
-            N_DEVICES,
-        )
-        .with_stripe_policy(policy);
-        let (results, stats) = multi.extend_tasks(&tasks);
-        assert_eq!(results, reference, "{policy:?} striping must be byte-identical");
-        stats.balance_efficiency()
-    };
-    let rr = balance_of(StripePolicy::RoundRobin);
-    let lpt = balance_of(StripePolicy::WordsLpt);
-    assert!(rr < 0.6, "skew should defeat round-robin striping, got {rr:.3}");
-    assert!(lpt >= 0.9, "LPT striping should balance the skew, got {lpt:.3}");
-}
-
 /// Regression for the prefix-bias bug: with bin-2 tasks arriving in
 /// ascending size order, a `cpu_bin2_fraction=0.5` split must deal the
 /// tasks so both engines get comparable estimated words — the old prefix
@@ -207,7 +176,7 @@ fn work_steal_model_beats_static_half_split_on_skew() {
     let params = LocalAssemblyParams::for_tests();
     let total: u64 = tasks.iter().map(|t| estimate_task_words(t, &params)).sum();
 
-    // Calibrate the GPU once (single amortized run), then model the CPU
+    // Probe the GPU rate once (single amortized run), then model the CPU
     // peer at twice that rate, as in the fig11 harness.
     let probe = OverlapDriver { device: DeviceConfig::tiny(), ..OverlapDriver::static_split(0.0) }
         .run(&tasks, &params)
@@ -225,13 +194,6 @@ fn work_steal_model_beats_static_half_split_on_skew() {
         schedule: SchedulePolicy::WorkSteal(StealConfig {
             batch_words: 32 * 1024,
             cpu_words_per_s: 2.0 * gpu_rate,
-            // Deterministic observations at the seed rate: calibration is
-            // a no-op on the schedule, and the model stays pinned to the
-            // probe-derived CPU rate this test reasons about.
-            calibration: CalibrationConfig {
-                cpu_true_words_per_s: Some(2.0 * gpu_rate),
-                ..Default::default()
-            },
             ..StealConfig::default()
         }),
         ..Default::default()
@@ -272,7 +234,7 @@ fn light_batch_deal_balances_max_and_min_words() {
 }
 
 /// The per-task cost the schedulers charge is clamped to >= 1 word even for
-/// a degenerate empty task, so no batch (and no LPT bin) can be free.
+/// a degenerate empty task, so no batch can be free.
 #[test]
 fn task_cost_is_clamped_to_at_least_one_word() {
     let params = LocalAssemblyParams::for_tests();
@@ -281,163 +243,39 @@ fn task_cost_is_clamped_to_at_least_one_word() {
     assert!(estimate_task_cost(&empty, &params) >= 1);
 }
 
-/// A device death mid-run must not poison the CPU rate estimate: the CPU
-/// absorbs the rest of the deque, its observations keep arriving at the
-/// (deterministic) true rate, and the EWMA keeps converging.
+/// The schedule is a pure function of the tasks and the configuration: both
+/// virtual clocks are modeled (the CPU's at the constant configured rate,
+/// the GPU's from simulated kernel and modeled pack seconds), so two runs
+/// of the default driver on the same skewed tasks split the work the same
+/// way, to the bit.
 #[test]
-fn gpu_death_does_not_poison_cpu_rate_estimate() {
-    let counts: Vec<usize> = (0..64).map(|i| 1 + (i % 12)).collect();
-    let tasks = tasks_from_counts(&counts, 321);
+fn default_schedule_is_deterministic() {
+    let counts: Vec<usize> =
+        (0..64).map(|i| if i % 4 == 0 { 18 + i % 5 } else { 1 + (i % 8) }).collect();
+    let tasks = tasks_from_counts(&counts, 4242);
     let params = LocalAssemblyParams::for_tests();
-    let reference = extend_all_cpu(&tasks, &params);
-
-    let true_rate = 5.0e6;
-    let out = OverlapDriver {
-        device: DeviceConfig::tiny().with_fault_plan(fault_plan(2)), // hang storm → device lost
-        version: KernelVersion::V2,
-        schedule: SchedulePolicy::WorkSteal(StealConfig {
-            batch_words: 2 * 1024,
-            cpu_words_per_s: true_rate / 10.0, // 10× mis-seeded
-            calibration: CalibrationConfig {
-                cpu_true_words_per_s: Some(true_rate),
-                ..Default::default()
-            },
-            ..StealConfig::default()
-        }),
-    }
-    .run(&tasks, &params)
-    .expect("driver runs");
-    assert_eq!(out.results, reference, "device loss must not change results");
-
-    let cal = out.schedule.calibration.expect("work-steal attaches a calibration report");
-    assert!(cal.enabled);
-    assert!(
-        cal.cpu_updates >= 4,
-        "CPU must have absorbed several batches, got {}",
-        cal.cpu_updates
+    let run = || {
+        OverlapDriver { device: DeviceConfig::tiny(), ..Default::default() }
+            .run(&tasks, &params)
+            .expect("driver runs")
+    };
+    let (a, b) = (run(), run());
+    assert_eq!(a.results, b.results);
+    let (a, b) = (&a.schedule, &b.schedule);
+    assert!(a.cpu_batches > 0 && a.gpu_batches > 0, "both engines must take work: {a:?}");
+    assert_eq!(a.batches, b.batches);
+    assert_eq!((a.cpu_batches, a.gpu_batches), (b.cpu_batches, b.gpu_batches));
+    assert_eq!((a.cpu_est_words, a.gpu_est_words), (b.cpu_est_words, b.gpu_est_words));
+    assert_eq!(
+        (a.cpu_stole_heavy, a.gpu_absorbed_light),
+        (b.cpu_stole_heavy, b.gpu_absorbed_light)
     );
-    let ratio = cal.cpu_words_per_s / true_rate;
-    assert!(
-        (0.8..=1.25).contains(&ratio),
-        "estimate must converge to the true rate despite the dead GPU: {:.3e} vs {true_rate:.3e}",
-        cal.cpu_words_per_s
-    );
-    assert!(
-        cal.cpu_words_per_s > cal.cpu_seed_words_per_s,
-        "estimate must have moved off the low seed"
-    );
+    assert_eq!(a.cpu_model_s.to_bits(), b.cpu_model_s.to_bits());
+    assert_eq!(a.gpu_model_s.to_bits(), b.gpu_model_s.to_bits());
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
-
-    /// Calibration sweep: random true-rate × seed-rate mis-matches (up to
-    /// 100× in either direction) under every fault plan. (a) results stay
-    /// byte-identical to the CPU reference; (b) whenever the CPU engine ran
-    /// at all, the converged estimate is no farther from the truth than the
-    /// seed was (EWMA against constant-truth observations moves toward the
-    /// truth monotonically, so this holds for every update count).
-    #[test]
-    fn calibration_is_identity_preserving_and_convergent(
-        counts in proptest::collection::vec(0usize..=24, 1..=24),
-        seed in 0u64..1_000,
-        fault_kind in 0usize..3,
-        true_exp in -1i32..=1,
-        seed_exp in -1i32..=1,
-    ) {
-        let tasks = tasks_from_counts(&counts, seed);
-        let params = LocalAssemblyParams::for_tests();
-        let reference = extend_all_cpu(&tasks, &params);
-        let true_rate = 5.0e6 * 100f64.powi(true_exp);
-        let seed_rate = 5.0e6 * 100f64.powi(seed_exp);
-
-        let out = OverlapDriver {
-            device: DeviceConfig::tiny().with_fault_plan(fault_plan(fault_kind)),
-            version: KernelVersion::V2,
-            schedule: SchedulePolicy::WorkSteal(StealConfig {
-                batch_words: 8 * 1024,
-                cpu_words_per_s: seed_rate,
-                calibration: CalibrationConfig {
-                    cpu_true_words_per_s: Some(true_rate),
-                    ..Default::default()
-                },
-                ..StealConfig::default()
-            }),
-        }
-        .run(&tasks, &params)
-        .expect("driver runs");
-        prop_assert_eq!(&out.results, &reference);
-
-        let cal = out.schedule.calibration.as_ref().expect("calibration report attached");
-        prop_assert_eq!(cal.cpu_seed_words_per_s, seed_rate);
-        if cal.cpu_updates > 0 {
-            let err_final = (cal.cpu_words_per_s / true_rate).ln().abs();
-            let err_seed = (seed_rate / true_rate).ln().abs();
-            prop_assert!(
-                err_final <= err_seed + 1e-9,
-                "estimate {:.3e} drifted farther from truth {:.3e} than seed {:.3e}",
-                cal.cpu_words_per_s, true_rate, seed_rate
-            );
-        }
-    }
-
-    /// Per-bin calibration: with bin-2 and bin-3 truths set 10x apart, each
-    /// bin's estimate must converge to *its own* truth — independently of
-    /// the skew of the mix — and results stay byte-identical. Observations
-    /// arrive at a constant per-bin truth and the bin estimators start
-    /// unseeded, so any bin that fired at all must sit exactly on its truth.
-    #[test]
-    fn per_bin_estimates_converge_independently_under_skewed_mixes(
-        light in proptest::collection::vec(1usize..=6, 0..=20),
-        heavy in proptest::collection::vec(12usize..=24, 0..=12),
-        seed in 0u64..1_000,
-        fault_kind in 0usize..3,
-    ) {
-        // Arbitrary skew: anywhere from all-bin-2 to all-bin-3.
-        let mut counts: Vec<usize> = light.iter().chain(heavy.iter()).copied().collect();
-        if counts.is_empty() {
-            counts.push(3);
-        }
-        let tasks = tasks_from_counts(&counts, seed);
-        let params = LocalAssemblyParams::for_tests();
-        let reference = extend_all_cpu(&tasks, &params);
-        let (bin2_true, bin3_true) = (2.0e6, 2.0e7);
-
-        let out = OverlapDriver {
-            device: DeviceConfig::tiny().with_fault_plan(fault_plan(fault_kind)),
-            version: KernelVersion::V2,
-            schedule: SchedulePolicy::WorkSteal(StealConfig {
-                batch_words: 4 * 1024,
-                cpu_words_per_s: 5.0e6,
-                calibration: CalibrationConfig {
-                    per_bin: true,
-                    min_bin_obs: 2,
-                    cpu_true_bin2_words_per_s: Some(bin2_true),
-                    cpu_true_bin3_words_per_s: Some(bin3_true),
-                    ..Default::default()
-                },
-                ..StealConfig::default()
-            }),
-        }
-        .run(&tasks, &params)
-        .expect("driver runs");
-        prop_assert_eq!(&out.results, &reference);
-
-        let cal = out.schedule.calibration.as_ref().expect("calibration report attached");
-        prop_assert!(cal.per_bin);
-        if cal.cpu_bin2_updates > 0 {
-            let rel = (cal.cpu_bin2_words_per_s / bin2_true - 1.0).abs();
-            prop_assert!(rel < 1e-9, "bin-2 estimate {:.6e} != truth {bin2_true:.6e}",
-                cal.cpu_bin2_words_per_s);
-        }
-        if cal.cpu_bin3_updates > 0 {
-            let rel = (cal.cpu_bin3_words_per_s / bin3_true - 1.0).abs();
-            prop_assert!(rel < 1e-9, "bin-3 estimate {:.6e} != truth {bin3_true:.6e}",
-                cal.cpu_bin3_words_per_s);
-        }
-        // Every CPU observation landed in exactly one bin.
-        prop_assert_eq!(cal.cpu_bin2_updates + cal.cpu_bin3_updates, cal.cpu_updates);
-    }
 
     /// Adaptive drain sizing must never issue a zero-word batch, for any
     /// combination of granularity, drain factor, and floor — and the split
@@ -487,10 +325,10 @@ proptest! {
         prop_assert_eq!(sched.cpu_est_words + sched.gpu_est_words, total);
     }
 
-    /// Off-switch contract: with `per_bin` and `adaptive_batch` both off,
-    /// the schedule must be identical to the PR 4 scheduler no matter what
-    /// the (inert) new knobs are set to — same batch counts, same steal
-    /// decisions, bit-identical virtual clocks — under every fault plan.
+    /// Off-switch contract: with `adaptive_batch` off, the schedule must
+    /// not depend on what the (inert) drain knobs are set to — same batch
+    /// counts, same steal decisions, bit-identical virtual clocks — under
+    /// every fault plan.
     #[test]
     fn disabled_features_reproduce_the_baseline_schedule(
         counts in proptest::collection::vec(0usize..=24, 1..=24),
@@ -498,7 +336,6 @@ proptest! {
         fault_kind in 0usize..3,
         drain_factor in (0usize..3).prop_map(|i| [1.5f64, 7.0, 64.0][i]),
         min_batch_words in (0usize..3).prop_map(|i| [1u64, 4096, 1 << 20][i]),
-        min_bin_obs in 1u64..=9,
     ) {
         let tasks = tasks_from_counts(&counts, seed);
         let params = LocalAssemblyParams::for_tests();
@@ -512,26 +349,11 @@ proptest! {
             .run(&tasks, &params)
             .expect("driver runs")
         };
-        // Pin the observation source: without a configured truth the
-        // calibration loop observes host wall seconds, and the CPU clock
-        // would not be reproducible across the two runs being compared.
-        let base = run(StealConfig {
-            calibration: CalibrationConfig {
-                cpu_true_words_per_s: Some(5.0e6),
-                ..Default::default()
-            },
-            ..StealConfig::default()
-        });
+        let base = run(StealConfig::default());
         let knobbed = run(StealConfig {
             adaptive_batch: false,
             drain_factor,
             min_batch_words,
-            calibration: CalibrationConfig {
-                per_bin: false,
-                min_bin_obs,
-                cpu_true_words_per_s: Some(5.0e6),
-                ..Default::default()
-            },
             ..StealConfig::default()
         });
         prop_assert_eq!(&base.results, &reference);
@@ -545,16 +367,13 @@ proptest! {
         prop_assert_eq!(a.gpu_absorbed_light, b.gpu_absorbed_light);
         prop_assert_eq!(a.cpu_est_words, b.cpu_est_words);
         prop_assert_eq!(a.gpu_est_words, b.gpu_est_words);
-        // The CPU clock is fully modeled, so it must agree to the bit. The
-        // GPU clock includes host-measured pack seconds and is not
-        // bit-reproducible run-to-run, so it is not compared here.
+        // Both clocks are fully modeled, so they must agree to the bit.
         prop_assert_eq!(a.cpu_model_s.to_bits(), b.cpu_model_s.to_bits());
+        prop_assert_eq!(a.gpu_model_s.to_bits(), b.gpu_model_s.to_bits());
         prop_assert_eq!(a.min_issued_batch_words, b.min_issued_batch_words);
         prop_assert_eq!(a.drain_splits, 0);
         prop_assert_eq!(b.drain_splits, 0);
         prop_assert!(!b.adaptive_batch);
-        let bc = b.calibration.as_ref().expect("calibration report attached");
-        prop_assert!(!bc.per_bin);
     }
 
     /// All-empty-tasks degenerate input: every task is bin 1 (answered
